@@ -23,7 +23,7 @@ from trielab.markov_source import (
     stationary_distribution,
 )
 from trielab.spectral import sigma_squared, spectral_constants
-from trielab.trie import DepthExceeded, Trie, TrieStats, build_trie, external_path_length
+from trielab.trie import DepthExceeded, Trie, TrieStats, build_trie
 
 __all__ = [
     "BitStream",
@@ -36,7 +36,6 @@ __all__ = [
     "Trie",
     "TrieStats",
     "build_trie",
-    "external_path_length",
     "compute_moment_table",
     "mean_for_initial",
     "variance_for_initial",

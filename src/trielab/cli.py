@@ -23,8 +23,6 @@ import math
 import sys
 from importlib import resources
 
-import numpy as np
-
 from trielab import __version__
 from trielab.clt_harness import (
     BadScale,
@@ -41,6 +39,7 @@ from trielab.clt_harness import (
 from trielab.exact_moments import (
     HorizonTooLarge,
     compute_moment_table,
+    error_terms,
     mean_for_initial,
     variance_for_initial,
 )
@@ -78,32 +77,44 @@ def _chain_of(args) -> MarkovChain:
     return MarkovChain(args.mu0, args.p00, args.p11)
 
 
-def _manifest(subcommand: str, config: dict, outputs: list) -> dict:
-    return {
-        "subcommand": subcommand,
-        "version": __version__,
-        "seed": config.get("seed"),
-        "config": config,
-        "outputs": list(outputs),
-    }
-
-
 def _write_csv(path: str, manifest: dict, header, rows) -> None:
+    """Manifest and timestamp comment lines, then the rows; ints print as is, floats by _fmt."""
     with open(path, "w", newline="") as fh:
         fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         fh.write("# generated: " + _now() + "\n")
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([str(v) if isinstance(v, int) else _fmt(v) for v in row]
+                         for row in rows)
 
 
-def _emit(args, report: dict, lines: list) -> None:
+def _finish(args, chain: MarkovChain, config: dict, fields: dict, lines: list,
+            out: str | None = None, header=None, rows=()) -> int:
+    """The one output path of every subcommand.
+
+    `config` and `fields` are the subcommand's own manifest config and report
+    fields; the chain fields are added here.  With `out` set, `header` (None
+    for none) and `rows` go to that CSV and the text output says so.  Prints
+    the JSON report under --json, else the text lines.
+    """
+    config = {**chain.as_dict(), **config}
+    manifest = {
+        "subcommand": args.subcommand,
+        "version": __version__,
+        "seed": config.get("seed"),
+        "config": config,
+        "outputs": [out] if out else [],
+    }
+    if out:
+        _write_csv(out, manifest, header, rows)
+        lines = [*lines, f"wrote {out}"]
     if args.json:
+        report = {"manifest": manifest, "generated": _now(), "chain": chain.as_dict(), **fields}
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        print(*lines, sep="\n")
+    return EXIT_OK
 
 
 def schema_for(subcommand: str) -> dict:
@@ -118,11 +129,7 @@ def schema_for(subcommand: str) -> dict:
 def _cmd_analyze(args) -> int:
     chain = _chain_of(args)
     consts = spectral_constants(chain, mode="report")
-    config = {"mu0": chain.mu0, "p00": chain.p00, "p11": chain.p11}
-    report = {
-        "manifest": _manifest("analyze", config, []),
-        "generated": _now(),
-        "chain": chain.as_dict(),
+    fields = {
         "H": consts.H,
         "H0": consts.H0,
         "H1": consts.H1,
@@ -134,100 +141,45 @@ def _cmd_analyze(args) -> int:
         "xi_s3": consts.xi(3.0),
         "cond39": consts.condition_39,
     }
-    lines = [f"{k} = {report[k]}" for k in
-             ("H", "H0", "H1", "pi0", "pi1", "lambda_dot", "lambda_ddot",
-              "sigma2", "xi_s3", "cond39")]
-    _emit(args, report, lines)
-    return EXIT_OK
+    lines = [f"{k} = {v}" for k, v in fields.items()]
+    return _finish(args, chain, {}, fields, lines)
 
 
 def _cmd_oracle(args) -> int:
     chain = _chain_of(args)
     table = compute_moment_table(chain, args.n_max)
-    H, _, _ = entropy_rate(chain)
-    n = np.arange(args.n_max + 1, dtype=np.float64)
-    lead = np.zeros_like(n)
-    lead[1:] = n[1:] * np.log(n[1:]) / H
-    f = table.nu - lead
-    config = {
-        "mu0": chain.mu0, "p00": chain.p00, "p11": chain.p11,
-        "n_max": args.n_max, "seed": None,
-    }
-    outputs = [args.out] if args.out else []
-    manifest = _manifest("oracle", config, outputs)
-    if args.out:
-        rows = (
-            [str(k)] + [_fmt(v) for v in (
-                table.nu[0][k], table.nu[1][k], table.var[0][k],
-                table.var[1][k], f[0][k], f[1][k])]
-            for k in range(args.n_max + 1)
-        )
-        _write_csv(args.out, manifest, ["n", "nu0", "nu1", "var0", "var1", "f0", "f1"], rows)
-    head = [
-        {"n": k, "nu0": table.nu[0][k], "nu1": table.nu[1][k],
-         "var0": table.var[0][k], "var1": table.var[1][k],
-         "f0": f[0][k], "f1": f[1][k]}
-        for k in range(min(args.n_max, 8) + 1)
-    ]
-    report = {
-        "manifest": manifest,
-        "generated": _now(),
-        "chain": chain.as_dict(),
-        "n_max": args.n_max,
-        "out": args.out,
-        "head": head,
-    }
+    f = error_terms(table, entropy_rate(chain)[0])
+    columns = {"nu0": table.nu[0], "nu1": table.nu[1], "var0": table.var[0],
+               "var1": table.var[1], "f0": f[0], "f1": f[1]}
+    head = [{"n": k, **{name: col[k] for name, col in columns.items()}}
+            for k in range(min(args.n_max, 8) + 1)]
     lines = [f"moment table up to n = {args.n_max}"]
     lines += [f"  n={r['n']}: nu0={r['nu0']:.6f} nu1={r['nu1']:.6f} "
               f"var0={r['var0']:.6f} var1={r['var1']:.6f}" for r in head[2:6]]
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    rows = ([k, *(col[k] for col in columns.values())] for k in range(args.n_max + 1))
+    return _finish(args, chain, {"n_max": args.n_max, "seed": None},
+                   {"n_max": args.n_max, "out": args.out, "head": head}, lines,
+                   args.out, ["n", *columns], rows)
 
 
 def _cmd_poisson_check(args) -> int:
     chain = _chain_of(args)
     lams = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
     table = compute_moment_table(chain, args.n_max)
-    rows = []
-    for lam in lams:
-        for i in (0, 1):
-            rows.append({
-                "lambda": lam,
-                "i": i,
-                "eq10_residual": check_mean_decomposition(table, i, lam),
-                "lemma4_residual": check_variance_decomposition(table, i, lam),
-            })
-    config = {
-        "mu0": chain.mu0, "p00": chain.p00, "p11": chain.p11,
-        "lambdas": lams, "n_max": args.n_max, "seed": None,
-    }
-    outputs = [args.out] if args.out else []
-    manifest = _manifest("poisson-check", config, outputs)
-    if args.out:
-        _write_csv(
-            args.out, manifest,
-            ["lambda", "i", "eq10_residual", "lemma4_residual"],
-            ([_fmt(r["lambda"]), str(r["i"]), _fmt(r["eq10_residual"]),
-              _fmt(r["lemma4_residual"])] for r in rows),
-        )
+    rows = [{"lambda": lam, "i": i,
+             "eq10_residual": check_mean_decomposition(table, i, lam),
+             "lemma4_residual": check_variance_decomposition(table, i, lam)}
+            for lam in lams for i in (0, 1)]
     worst = max(max(r["eq10_residual"], r["lemma4_residual"]) for r in rows)
-    report = {
-        "manifest": manifest,
-        "generated": _now(),
-        "chain": chain.as_dict(),
-        "rows": rows,
-        "worst_residual": worst,
-    }
     lines = [f"lambda={r['lambda']:g} i={r['i']}: "
              f"mean residual {r['eq10_residual']:.3e}, "
              f"variance residual {r['lemma4_residual']:.3e}" for r in rows]
     lines.append(f"worst residual {worst:.3e}")
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _finish(
+        args, chain, {"lambdas": lams, "n_max": args.n_max, "seed": None},
+        {"rows": rows, "worst_residual": worst}, lines,
+        args.out, list(rows[0]), (r.values() for r in rows),
+    )
 
 
 def _cmd_simulate(args) -> int:
@@ -246,28 +198,16 @@ def _cmd_simulate(args) -> int:
     std = standardize(cloud, center, scale)
     summary = std.summary()
     config = {
-        "mu0": chain.mu0, "p00": chain.p00, "p11": chain.p11,
-        "n": args.n, "m": args.m, "seed": args.seed,
+        **chain.as_dict(), "n": args.n, "m": args.m, "seed": args.seed,
         "initial": "mu", "standardize": args.standardize,
     }
-    outputs = [args.samples] if args.samples else []
-    manifest = _manifest("simulate", config, outputs)
-    if args.samples:
-        _write_csv(args.samples, manifest, None,
-                   ([_fmt(v)] for v in std.samples))
-    report = {
-        "manifest": manifest,
-        "generated": _now(),
-        "chain": chain.as_dict(),
+    flags = ("mean_ok", "var_ok", "ks_ok")
+    fields = {
         "config": config,
         "center": center,
         "scale": scale,
-        "mean": summary["mean"],
-        "var": summary["var"],
-        "skew": summary["skew"],
-        "kurt": summary["kurt"],
-        "ks": summary["ks"],
-        "flags": {k: summary[k] for k in ("mean_ok", "var_ok", "ks_ok")},
+        **{k: summary[k] for k in ("mean", "var", "skew", "kurt", "ks")},
+        "flags": {k: summary[k] for k in flags},
     }
     lines = [
         f"m={args.m} tries of n={args.n} strings, seed {args.seed}",
@@ -275,12 +215,10 @@ def _cmd_simulate(args) -> int:
         f"mean {summary['mean']:+.5f}  var {summary['var']:.5f}  "
         f"skew {summary['skew']:+.4f}  kurt {summary['kurt']:+.4f}",
         f"ks to standard normal {summary['ks']:.5f}",
-        "flags " + " ".join(f"{k}={summary[k]}" for k in ("mean_ok", "var_ok", "ks_ok")),
+        "flags " + " ".join(f"{k}={summary[k]}" for k in flags),
     ]
-    if args.samples:
-        lines.append(f"wrote {args.samples}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _finish(args, chain, config, fields, lines,
+                   args.samples, None, ([v] for v in std.samples))
 
 
 def _cmd_contraction(args) -> int:
@@ -291,65 +229,30 @@ def _cmd_contraction(args) -> int:
         cloud0, cloud1 = apply_T(cloud0, cloud1, chain, replicate_seed(args.seed, it))
         rows.append({"iteration": it, "ks0": ks_distance(cloud0),
                      "ks1": ks_distance(cloud1)})
-    config = {
-        "mu0": chain.mu0, "p00": chain.p00, "p11": chain.p11,
-        "iters": args.iters, "m": args.m, "seed": args.seed,
-    }
-    outputs = [args.out] if args.out else []
-    manifest = _manifest("contraction", config, outputs)
-    if args.out:
-        _write_csv(args.out, manifest, ["iteration", "ks0", "ks1"],
-                   ([str(r["iteration"]), _fmt(r["ks0"]), _fmt(r["ks1"])]
-                    for r in rows))
-    report = {
-        "manifest": manifest,
-        "generated": _now(),
-        "chain": chain.as_dict(),
-        "rows": rows,
-        "final_ks": max(rows[-1]["ks0"], rows[-1]["ks1"]),
-    }
     lines = [f"iter {r['iteration']:2d}: ks0={r['ks0']:.5f} ks1={r['ks1']:.5f}"
              for r in rows]
-    if args.out:
-        lines.append(f"wrote {args.out}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _finish(
+        args, chain, {"iters": args.iters, "m": args.m, "seed": args.seed},
+        {"rows": rows, "final_ks": max(rows[-1]["ks0"], rows[-1]["ks1"])}, lines,
+        args.out, list(rows[0]), (r.values() for r in rows),
+    )
 
 
 def _cmd_trie_stats(args) -> int:
     chain = _chain_of(args)
-    streams = generate_strings(chain, args.n, args.seed)
-    trie = build_trie(streams)
-    stats = trie.stats()
-    config = {
-        "mu0": chain.mu0, "p00": chain.p00, "p11": chain.p11,
-        "n": args.n, "seed": args.seed,
-    }
-    outputs = [args.histogram] if args.histogram else []
-    manifest = _manifest("trie-stats", config, outputs)
+    stats = build_trie(generate_strings(chain, args.n, args.seed)).stats()
     hist = [int(c) for c in stats.depth_histogram]
-    if args.histogram:
-        _write_csv(args.histogram, manifest, ["depth", "count"],
-                   ([str(d), str(c)] for d, c in enumerate(hist)))
-    report = {
-        "manifest": manifest,
-        "generated": _now(),
-        "chain": chain.as_dict(),
-        "n": args.n,
-        "epl": stats.epl,
-        "size": stats.size,
-        "height": stats.height,
-        "depth_histogram": hist,
-    }
     lines = [
         f"trie over n={args.n} strings, seed {args.seed}",
         f"external path length {stats.epl}",
         f"internal nodes {stats.size}  height {stats.height}",
     ]
-    if args.histogram:
-        lines.append(f"wrote {args.histogram}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _finish(
+        args, chain, {"n": args.n, "seed": args.seed},
+        {"n": args.n, "epl": stats.epl, "size": stats.size, "height": stats.height,
+         "depth_histogram": hist}, lines,
+        args.histogram, ["depth", "count"], enumerate(hist),
+    )
 
 
 def _cmd_verify(args) -> int:
@@ -442,22 +345,11 @@ def _cmd_verify(args) -> int:
            f"ks {final:.4f} after {iters} iterations of m={m} (limit {limit})")
 
     passed = all(item["status"] != "fail" for item in items)
-    config = {
-        "mu0": chain.mu0, "p00": chain.p00, "p11": chain.p11,
-        "budget": args.budget, "seed": seed,
-    }
-    report = {
-        "manifest": _manifest("verify", config, []),
-        "generated": _now(),
-        "chain": chain.as_dict(),
-        "budget": args.budget,
-        "items": items,
-        "passed": passed,
-    }
     lines = [f"{item['status']:>7}  {item['name']}: {item['detail']}"
              for item in items]
     lines.append("verify: " + ("all items passed" if passed else "FAILED"))
-    _emit(args, report, lines)
+    _finish(args, chain, {"budget": args.budget, "seed": seed},
+            {"budget": args.budget, "items": items, "passed": passed}, lines)
     if not passed:
         first = next(item["name"] for item in items if item["status"] == "fail")
         print(f"verify failed at item '{first}'", file=sys.stderr)

@@ -37,7 +37,7 @@ WEIGHT_FLOOR = 1e-16
 
 
 class HorizonTooLarge(ValueError):
-    """Requested table horizon exceeds the O(N^2)-budget cap."""
+    """Requested table horizon exceeds the cap on the O(N^1.5) construction."""
 
 
 def binomial_window(n: int, p: float) -> tuple[int, np.ndarray]:
@@ -184,11 +184,16 @@ class ErrorTermTable:
         return float(steps.max())
 
 
-def error_term_table(chain: MarkovChain, table: MomentTable, entropy: float) -> ErrorTermTable:
-    """Deviation of nu_i from its (1/H) n log n leading term (0 log 0 := 0)."""
-    chain.require_asymmetric()
+def error_terms(table: MomentTable, entropy: float) -> np.ndarray:
+    """f_i[n] = nu_i[n] - (1/H) n log n, shape (2, N+1), with 0 log 0 := 0."""
     ns = np.arange(table.N + 1, dtype=np.float64)
     lead = np.zeros_like(ns)
     lead[1:] = ns[1:] * np.log(ns[1:]) / entropy
-    f = table.nu - lead
+    return table.nu - lead
+
+
+def error_term_table(chain: MarkovChain, table: MomentTable, entropy: float) -> ErrorTermTable:
+    """Deviation table of an asymmetric chain; symmetric ones raise SymmetricChain."""
+    chain.require_asymmetric()
+    f = error_terms(table, entropy)
     return ErrorTermTable(f, float(np.abs(np.diff(f, axis=1)).max()))

@@ -43,20 +43,18 @@ def lambda_of_s(chain: MarkovChain, s: float) -> float:
     return 0.5 * (a + d + math.sqrt(disc))
 
 
-def _implicit_derivatives(chain: MarkovChain, s: float = -1.0) -> tuple[float, float]:
-    """Exact lambda', lambda'' by differentiating lambda^2 - T lambda + D = 0.
+def lambda_derivatives(chain: MarkovChain) -> tuple[float, float]:
+    """Exact (lambda'(-1), lambda''(-1)) by differentiating lambda^2 - T lambda + D = 0.
 
-    Closed-form route, independent of any difference scheme; the tests use it
-    to certify the finite-difference estimates below.
+    T and D are sums of powers x^{-s}, whose s-derivatives are closed form,
+    so implicit differentiation gives both derivatives with no difference
+    step; the tests certify it against a Richardson finite-difference ladder.
     """
-    la, lb = math.log(chain.p00), math.log(chain.p11)
-    lc = math.log(chain.p00 * chain.p11)
-    ld = math.log(chain.p01 * chain.p10)
-    a = chain.p00 ** (-s)
-    b = chain.p11 ** (-s)
-    prod = (chain.p00 * chain.p11) ** (-s)
-    cross = (chain.p01 * chain.p10) ** (-s)
-    lam = 0.5 * (a + b + math.sqrt((a - b) ** 2 + 4.0 * cross))
+    # at s = -1 every power p^{-s} is p itself
+    a, b = chain.p00, chain.p11
+    prod, cross = a * b, chain.p01 * chain.p10
+    la, lb, lc, ld = math.log(a), math.log(b), math.log(prod), math.log(cross)
+    lam = lambda_of_s(chain, -1.0)
     t_dot = -(la * a + lb * b)
     t_ddot = la * la * a + lb * lb * b
     d_dot = -(lc * prod - ld * cross)
@@ -67,63 +65,31 @@ def _implicit_derivatives(chain: MarkovChain, s: float = -1.0) -> tuple[float, f
     return lam_dot, lam_ddot
 
 
-def _richardson3(f, s: float, h: float, scheme: str) -> float:
-    """Two Richardson levels over step halvings of a central difference.
-
-    Both the first-difference and second-difference stencils have error series
-    in even powers of h, so the (4, 16) elimination weights apply to each.
-    """
-    def estimate(step: float) -> float:
-        if scheme == "first":
-            return (f(s + step) - f(s - step)) / (2.0 * step)
-        return (f(s + step) - 2.0 * f(s) + f(s - step)) / (step * step)
-
-    d0, d1, d2 = estimate(h), estimate(h / 2.0), estimate(h / 4.0)
-    r0 = (4.0 * d1 - d0) / 3.0
-    r1 = (4.0 * d2 - d1) / 3.0
-    return (16.0 * r1 - r0) / 15.0
-
-
-def lambda_derivatives(chain: MarkovChain) -> tuple[float, float]:
-    """Central-difference (lambda'(-1), lambda''(-1)) with Richardson extrapolation.
-
-    The first derivative uses base step 1e-4.  The second difference divides
-    by h^2, so rounding noise grows like eps/h^2 and a step that small would
-    drown the signal; its base step is therefore O(1) scaled by the largest
-    |log p_ij| so that truncation stays below rounding for any valid chain.
-    """
-    f = lambda s: lambda_of_s(chain, s)
-    lam_dot = _richardson3(f, -1.0, 1e-4, "first")
-    scale = max(
-        1.0,
-        abs(math.log(chain.p00)),
-        abs(math.log(chain.p01)),
-        abs(math.log(chain.p10)),
-        abs(math.log(chain.p11)),
-    )
-    lam_ddot = _richardson3(f, -1.0, 0.1 / scale, "second")
-    return lam_dot, lam_ddot
-
-
 def sigma_squared(chain: MarkovChain, mode: str = "strict") -> tuple[float, float]:
     """Variance constant two ways: (eigenvalue form, explicit form).
 
-    The eigenvalue form is (lambda'' - lambda'^2)/lambda'^3 at s = -1 from the
-    difference scheme; the explicit form is the closed expression in the
-    transition probabilities.  They agree to ~1e-9 relative, so their spread
-    certifies the numerics.  A symmetric chain degenerates (sigma^2 = 0):
-    strict mode raises SymmetricChain, report mode warns and returns zeros.
+    The eigenvalue form is (lambda'' - lambda'^2)/lambda'^3 at s = -1 from
+    `lambda_derivatives`; the explicit form is the closed expression in the
+    transition probabilities.  They agree within 1e-10 relative for p_ij in
+    [0.005, 0.995], so their spread certifies the numerics.  A symmetric
+    chain degenerates (sigma^2 = 0): strict mode raises SymmetricChain,
+    report mode warns and returns zeros.
     """
+    return _sigma_squared(chain, mode, *lambda_derivatives(chain))
+
+
+def _sigma_squared(chain: MarkovChain, mode: str, lam_dot: float,
+                   lam_ddot: float) -> tuple[float, float]:
+    """`sigma_squared` from derivatives already at hand."""
     if mode not in ("strict", "report"):
         raise ValueError(f"mode must be 'strict' or 'report', got {mode!r}")
     if not chain.is_asymmetric:
         if mode == "strict":
             chain.require_asymmetric()
         warnings.warn(
-            "symmetric chain: variance constant degenerates to 0", stacklevel=2
+            "symmetric chain: variance constant degenerates to 0", stacklevel=3
         )
         return 0.0, 0.0
-    lam_dot, lam_ddot = lambda_derivatives(chain)
     eigen = (lam_ddot - lam_dot * lam_dot) / lam_dot**3
     h, h0, h1 = entropy_rate(chain)
     pi0, pi1 = stationary_distribution(chain)
@@ -186,7 +152,7 @@ def spectral_constants(chain: MarkovChain, mode: str = "strict") -> SpectralCons
     h, h0, h1 = entropy_rate(chain)
     pi0, pi1 = stationary_distribution(chain)
     lam_dot, lam_ddot = lambda_derivatives(chain)
-    s2_eigen, s2_explicit = sigma_squared(chain, mode=mode)
+    s2_eigen, s2_explicit = _sigma_squared(chain, mode, lam_dot, lam_ddot)
     return SpectralConstants(
         chain=chain,
         H=float(h),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trielab.markov_source import BitStream, MarkovChain, stream_seeds, uniforms_at
+from trielab.markov_source import BitStream, MarkovChain, next_bits, stream_seeds, uniforms_at
 
 
 class DepthExceeded(RuntimeError):
@@ -130,11 +130,6 @@ def build_trie(streams: list[BitStream], max_depth: int | None = None) -> Trie:
     return Trie(root, n, leaf_depths)
 
 
-def external_path_length(trie: Trie) -> int:
-    """Sum of all leaf depths."""
-    return trie.epl
-
-
 def min_external_path_length(n: int) -> int:
     """EPL of the most balanced binary tree with n leaves; a hard lower bound.
 
@@ -224,15 +219,7 @@ def _epl_chunk(
             )
         # everyone left shares a group, so everyone consumes one symbol here
         out += np.bincount(rep, minlength=reps)
-        u = uniforms_at(sub, depth)
-        if state is None:
-            if forced_initial is not None:
-                bit = np.full(rep.size, forced_initial, dtype=np.int64)
-            else:
-                bit = (u >= chain.mu0).astype(np.int64)
-        else:
-            prob0 = np.where(state == 0, chain.p00, chain.p10)
-            bit = (u >= prob0).astype(np.int64)
+        bit = next_bits(chain, uniforms_at(sub, depth), state, forced_initial)
         pair = key * 2 + bit
         counts = np.bincount(pair, minlength=2 * group_count)
         keep = counts[pair] >= 2
@@ -244,6 +231,6 @@ def _epl_chunk(
         rep = rep[keep]
         stream_index = stream_index[keep]
         sub = sub[keep]
-        state = bit[keep].astype(np.int8)
+        state = bit[keep]
         group_count = alive.size
         depth += 1

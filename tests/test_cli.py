@@ -28,6 +28,13 @@ def csv_body(path):
     return manifest, [lines[0]] + lines[2:]
 
 
+def assert_rerun_identical(capsys, path, body, *argv):
+    """Rerunning the same flags rewrites `path` byte identical but for the timestamp."""
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert csv_body(path)[1] == body
+
+
 def test_schemas_ship_for_every_subcommand():
     for sub in ("analyze", "oracle", "poisson-check", "simulate",
                 "contraction", "trie-stats", "verify"):
@@ -74,11 +81,28 @@ def test_oracle_csv_reproducible(tmp_path, capsys):
     assert body_a == body_b
 
 
+def test_oracle_symmetric_chain(tmp_path, capsys):
+    # the error-term columns need no variance constant, so a symmetric chain
+    # is a valid oracle request
+    out = tmp_path / "table.csv"
+    argv = ["oracle", "--p00", "0.5", "--p11", "0.5", "--n-max", "16", "--out", str(out)]
+    code, report, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    jsonschema.validate(report, schema_for("oracle"))
+    manifest, body = csv_body(out)
+    assert manifest["outputs"] == [str(out)]
+    assert body[1] == "n,nu0,nu1,var0,var1,f0,f1"
+    assert len(body) == 2 + 17
+    code, text, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert text.splitlines()[-1] == f"wrote {out}"
+
+
 def test_poisson_check_json(tmp_path, capsys):
     out = tmp_path / "resid.csv"
-    code, report, _ = run_json(capsys, "poisson-check", *CHAIN,
-                               "--lambdas", "5,20", "--n-max", "128",
-                               "--out", str(out))
+    argv = ["poisson-check", *CHAIN, "--lambdas", "5,20", "--n-max", "128",
+            "--out", str(out)]
+    code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
     jsonschema.validate(report, schema_for("poisson-check"))
     assert len(report["rows"]) == 4
@@ -86,6 +110,7 @@ def test_poisson_check_json(tmp_path, capsys):
     _, body = csv_body(out)
     assert body[1] == "lambda,i,eq10_residual,lemma4_residual"
     assert len(body) == 2 + 4
+    assert_rerun_identical(capsys, out, body, *argv)
 
 
 def test_poisson_check_horizon_error(capsys):
@@ -97,10 +122,9 @@ def test_poisson_check_horizon_error(capsys):
 
 def test_simulate_json_and_samples(tmp_path, capsys):
     samples = tmp_path / "cloud.csv"
-    code, report, _ = run_json(capsys, "simulate", *CHAIN,
-                               "--n", "64", "--m", "300", "--seed", "5",
-                               "--standardize", "oracle",
-                               "--samples", str(samples))
+    argv = ["simulate", *CHAIN, "--n", "64", "--m", "300", "--seed", "5",
+            "--standardize", "oracle", "--samples", str(samples)]
+    code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
     jsonschema.validate(report, schema_for("simulate"))
     assert report["config"]["n"] == 64 and report["config"]["m"] == 300
@@ -109,6 +133,7 @@ def test_simulate_json_and_samples(tmp_path, capsys):
     _, body = csv_body(samples)
     assert len(body) == 1 + 300  # manifest line + one value per replicate
     float(body[1])  # raw values, no header
+    assert_rerun_identical(capsys, samples, body, *argv)
 
 
 def test_simulate_rejects_tiny_n(capsys):
@@ -145,9 +170,9 @@ def test_version_flag(capsys):
 
 def test_contraction_json(tmp_path, capsys):
     out = tmp_path / "iters.csv"
-    code, report, _ = run_json(capsys, "contraction", *CHAIN,
-                               "--iters", "2", "--m", "2000", "--seed", "1",
-                               "--out", str(out))
+    argv = ["contraction", *CHAIN, "--iters", "2", "--m", "2000", "--seed", "1",
+            "--out", str(out)]
+    code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
     jsonschema.validate(report, schema_for("contraction"))
     assert [r["iteration"] for r in report["rows"]] == [0, 1, 2]
@@ -156,13 +181,13 @@ def test_contraction_json(tmp_path, capsys):
     _, body = csv_body(out)
     assert body[1] == "iteration,ks0,ks1"
     assert len(body) == 2 + 3
+    assert_rerun_identical(capsys, out, body, *argv)
 
 
 def test_trie_stats_json(tmp_path, capsys):
     hist = tmp_path / "hist.csv"
-    code, report, _ = run_json(capsys, "trie-stats", *CHAIN,
-                               "--n", "500", "--seed", "3",
-                               "--histogram", str(hist))
+    argv = ["trie-stats", *CHAIN, "--n", "500", "--seed", "3", "--histogram", str(hist)]
+    code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
     jsonschema.validate(report, schema_for("trie-stats"))
     assert report["epl"] == 5713
@@ -174,6 +199,7 @@ def test_trie_stats_json(tmp_path, capsys):
     _, body = csv_body(hist)
     assert body[1] == "depth,count"
     assert len(body) == 2 + len(counts)
+    assert_rerun_identical(capsys, hist, body, *argv)
 
 
 def test_verify_quick_symmetric_skips(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from trielab.markov_source import MarkovChain, SymmetricChain, entropy_rate
 from trielab.spectral import (
     BadExponent,
-    _implicit_derivatives,
     contraction_factor,
     lambda_derivatives,
     lambda_of_s,
@@ -18,6 +17,45 @@ from trielab.spectral import (
 )
 
 probs = st.floats(min_value=0.02, max_value=0.98)
+
+
+def _richardson3(f, s: float, h: float, scheme: str) -> float:
+    """Two Richardson levels over step halvings of a central difference.
+
+    Both the first-difference and second-difference stencils have error series
+    in even powers of h, so the (4, 16) elimination weights apply to each.
+    """
+    def estimate(step: float) -> float:
+        if scheme == "first":
+            return (f(s + step) - f(s - step)) / (2.0 * step)
+        return (f(s + step) - 2.0 * f(s) + f(s - step)) / (step * step)
+
+    d0, d1, d2 = estimate(h), estimate(h / 2.0), estimate(h / 4.0)
+    r0 = (4.0 * d1 - d0) / 3.0
+    r1 = (4.0 * d2 - d1) / 3.0
+    return (16.0 * r1 - r0) / 15.0
+
+
+def finite_difference_derivatives(chain: MarkovChain) -> tuple[float, float]:
+    """Central-difference (lambda'(-1), lambda''(-1)) with Richardson extrapolation.
+
+    Independent of the closed form in `lambda_derivatives`, which it certifies.
+    The first derivative uses base step 1e-4.  The second difference divides
+    by h^2, so rounding noise grows like eps/h^2 and a step that small would
+    drown the signal; its base step is therefore O(1) scaled by the largest
+    |log p_ij| so that truncation stays below rounding for any valid chain.
+    """
+    f = lambda s: lambda_of_s(chain, s)
+    lam_dot = _richardson3(f, -1.0, 1e-4, "first")
+    scale = max(
+        1.0,
+        abs(math.log(chain.p00)),
+        abs(math.log(chain.p01)),
+        abs(math.log(chain.p10)),
+        abs(math.log(chain.p11)),
+    )
+    lam_ddot = _richardson3(f, -1.0, 0.1 / scale, "second")
+    return lam_dot, lam_ddot
 
 
 @given(probs, probs)
@@ -52,8 +90,8 @@ def test_derivatives_match_implicit_closed_form(p00, p11):
     # the implicit-function route differentiates the characteristic polynomial
     # exactly; the numeric route must reproduce it closely
     chain = MarkovChain(0.5, p00, p11)
-    lam_dot, lam_ddot = lambda_derivatives(chain)
-    ex_dot, ex_ddot = _implicit_derivatives(chain)
+    lam_dot, lam_ddot = finite_difference_derivatives(chain)
+    ex_dot, ex_ddot = lambda_derivatives(chain)
     assert abs(lam_dot - ex_dot) <= 1e-8
     assert abs(lam_ddot - ex_ddot) <= 1e-6 * max(1.0, abs(ex_ddot))
 
@@ -66,6 +104,14 @@ def test_sigma_squared_frozen_values(chain67):
     assert abs(explicit - 2.2624763378274286) <= 1e-13
     eigen, explicit = sigma_squared(MarkovChain(0.5, 0.55, 0.55))
     assert abs(explicit - 0.03058545541959633) <= 1e-14
+
+
+@pytest.mark.parametrize("p11", [0.505, 0.51])
+def test_sigma_squared_forms_agree_near_symmetric(p11):
+    # verify's spectral item holds the two forms to 1e-8 relative; a nearly
+    # symmetric chain has a small sigma^2, so derivative noise shows here first
+    eigen, explicit = sigma_squared(MarkovChain(0.5, 0.5, p11))
+    assert abs(eigen - explicit) <= 1e-8 * abs(explicit)
 
 
 def test_sigma_squared_symmetric_modes():
@@ -136,8 +182,6 @@ def test_spectral_constants_symmetric_strict():
 
 def test_second_derivative_step_halving_stability():
     # the Richardson ladder should make the estimate insensitive to the base step
-    from trielab.spectral import _richardson3
-
     chain = MarkovChain(0.5, 0.3, 0.8)
 
     def f(s):

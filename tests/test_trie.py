@@ -12,7 +12,6 @@ from trielab.trie import (
     batch_external_path_lengths,
     build_trie,
     default_max_depth,
-    external_path_length,
     min_external_path_length,
 )
 
@@ -30,7 +29,6 @@ class FixedStream:
 def test_prefix_free_example():
     trie = build_trie([FixedStream(s) for s in ("000", "001", "01", "1")])
     assert trie.epl == 9
-    assert external_path_length(trie) == 9
     assert list(trie.leaf_depths) == [3, 3, 2, 1]
     stats = trie.stats()
     assert stats.epl == 9
