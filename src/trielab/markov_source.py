@@ -108,12 +108,21 @@ def entropy_rate(chain: MarkovChain) -> tuple[float, float, float]:
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, vectorized over uint64 (wraparound intended)."""
-    z = np.asarray(x, dtype=np.uint64).copy()
-    z ^= z >> np.uint64(30)
+    return _mix64_inplace(np.array(x, dtype=np.uint64))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """`_mix64` that overwrites `z` if it is a uint64 array (a scalar gets a 0-d copy).
+
+    One scratch buffer serves all three shifts.
+    """
+    z = np.asarray(z, dtype=np.uint64)
+    tmp = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -142,7 +151,7 @@ def stream_seeds(
         base = np.uint64(int(seed) & _MASK64)
     else:
         base = np.asarray(seed, dtype=np.uint64)
-    return _mix64(base ^ _mix64(salted))
+    return _mix64_inplace(base ^ _mix64_inplace(salted))
 
 
 def replicate_seed(seed: int, replicate: int) -> int:
@@ -153,14 +162,15 @@ def replicate_seed(seed: int, replicate: int) -> int:
 def replicate_seeds(seed: int, replicates: np.ndarray) -> np.ndarray:
     rep = np.asarray(replicates, dtype=np.uint64)
     salted = (rep + np.uint64(1)) * np.uint64(_REPLICATE_SALT)
-    return _mix64(np.uint64(seed & _MASK64) ^ _mix64(salted))
+    return _mix64_inplace(np.uint64(seed & _MASK64) ^ _mix64_inplace(salted))
 
 
 def uniforms_at(sub_seeds: np.ndarray, position: int) -> np.ndarray:
     """Uniform(0,1) driving bit `position` of each stream, as a pure function."""
     t = np.uint64((position * _GOLDEN) & _MASK64)
-    u64 = _mix64(np.asarray(sub_seeds, dtype=np.uint64) + t)
-    return (u64 >> np.uint64(11)) * 2.0**-53
+    u64 = _mix64_inplace(np.asarray(sub_seeds, dtype=np.uint64) + t)
+    u64 >>= np.uint64(11)
+    return u64 * 2.0**-53
 
 
 def uniform_block(sub_seed: int, start: int, stop: int) -> np.ndarray:
@@ -168,8 +178,9 @@ def uniform_block(sub_seed: int, start: int, stop: int) -> np.ndarray:
     t = (np.arange(start, stop, dtype=np.uint64) * np.uint64(_GOLDEN)) + np.uint64(
         sub_seed & _MASK64
     )
-    u64 = _mix64(t)
-    return (u64 >> np.uint64(11)) * 2.0**-53
+    u64 = _mix64_inplace(t)
+    u64 >>= np.uint64(11)
+    return u64 * 2.0**-53
 
 
 def next_bits(
@@ -188,7 +199,7 @@ def next_bits(
         if forced_initial is not None:
             return np.full(uniforms.shape, forced_initial, dtype=np.int8)
         return (uniforms >= chain.mu0).astype(np.int8)
-    prob0 = np.where(states == 0, chain.p00, chain.p10)
+    prob0 = np.array([chain.p00, chain.p10])[states]
     return (uniforms >= prob0).astype(np.int8)
 
 

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trielab.markov_source import BitStream, MarkovChain, next_bits, stream_seeds, uniforms_at
+from trielab.markov_source import (
+    BitStream,
+    MarkovChain,
+    generate_strings,
+    next_bits,
+    stream_seeds,
+    uniforms_at,
+)
 
 
 class DepthExceeded(RuntimeError):
@@ -149,15 +156,21 @@ def batch_external_path_lengths(
     rep_seeds: np.ndarray,
     forced_initial: int | None = None,
     max_depth: int | None = None,
-    chunk_elements: int = 4_000_000,
+    chunk_elements: int = 1 << 16,
 ) -> np.ndarray:
     """EPL of one fresh trie per replicate, fully vectorized across replicates.
 
     Replicate r holds `sizes[r]` streams seeded from `rep_seeds[r]`; stream j
     of that replicate reproduces exactly what BitStream(chain, rep_seeds[r], j)
     would emit, so this kernel and `build_trie` are interchangeable routes to
-    the same numbers.  Memory is bounded by processing at most
-    `chunk_elements` strings at a time.
+    the same numbers.  Replicates are processed in chunks of at most
+    `chunk_elements` strings (a single larger replicate forms its own chunk).
+    The default is cache-sized: each level makes a handful of passes over
+    per-string arrays of 8 bytes a string, and at 2**16 strings (512 KiB an
+    array) they stay in a 2 MiB L2 cache between passes.  Chunks of 2**20
+    strings and more stream every pass through main memory and cost about
+    1.4 times as much per string (n = 2048 on a 2-core Xeon); the chunk also
+    bounds the kernel's memory to a few MB whatever the total.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     rep_seeds = np.asarray(rep_seeds, dtype=np.uint64)
@@ -197,40 +210,63 @@ def _epl_chunk(
     out: np.ndarray,
     replicate_offset: int,
 ) -> None:
+    # Per string only its sub-seed and group id `key` are carried.  Groups
+    # hold >= 2 strings; group g belongs to replicate grep[g], has gsize[g]
+    # members and was entered on bit gstate[g].  Group ids are ranks of
+    # key*2 + bit, so they stay sorted by replicate.
     reps = len(sizes)
     m = int(sizes.sum())
     rep = np.repeat(np.arange(reps, dtype=np.int64), sizes)
     offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
-    stream_index = np.arange(m, dtype=np.int64) - np.repeat(offsets, sizes)
-    sub = stream_seeds(rep_seeds[rep], stream_index)
+    sub = stream_seeds(rep_seeds[rep], np.arange(m, dtype=np.int64) - np.repeat(offsets, sizes))
     # one root group per replicate; singleton tries finish at depth 0
-    key = rep
-    group_count = reps
-    counts = np.bincount(key, minlength=group_count)
-    keep = counts[key] >= 2
-    rep, stream_index, sub, key = rep[keep], stream_index[keep], sub[keep], key[keep]
-    state: np.ndarray | None = None
+    grep = np.nonzero(sizes >= 2)[0]
+    gsize = sizes[grep]
+    lookup = np.empty(reps, dtype=np.int64)
+    lookup[grep] = np.arange(grep.size)
+    keep = sizes[rep] >= 2
+    sub, key = sub[keep], lookup[rep[keep]]
+    del rep
+    gstate: np.ndarray | None = None
     depth = 0
-    while rep.size:
+    while sub.size:
         if depth >= max_depth:
-            bad = rep[0]
-            raise DepthExceeded(
-                stream_index[rep == bad], depth, replicate_offset + int(bad)
+            bad = int(grep[0])
+            raise _clashing_group(
+                chain, int(sizes[bad]), int(rep_seeds[bad]), forced_initial,
+                depth, replicate_offset + bad,
             )
         # everyone left shares a group, so everyone consumes one symbol here
-        out += np.bincount(rep, minlength=reps)
+        out += np.bincount(grep, weights=gsize, minlength=reps).astype(np.int64)
+        state = None if gstate is None else gstate[key]
         bit = next_bits(chain, uniforms_at(sub, depth), state, forced_initial)
         pair = key * 2 + bit
-        counts = np.bincount(pair, minlength=2 * group_count)
-        keep = counts[pair] >= 2
+        counts = np.bincount(pair, minlength=2 * grep.size)
         alive = np.nonzero(counts >= 2)[0]
-        lookup = np.empty(2 * group_count, dtype=np.int64)
+        keep = counts[pair] >= 2
+        lookup = np.empty(counts.size, dtype=np.int64)
         lookup[alive] = np.arange(alive.size)
-        pair = pair[keep]
-        key = lookup[pair]
-        rep = rep[keep]
-        stream_index = stream_index[keep]
-        sub = sub[keep]
-        state = bit[keep]
-        group_count = alive.size
+        sub, key = sub[keep], lookup[pair[keep]]
+        grep, gsize, gstate = grep[alive >> 1], counts[alive], alive & 1
         depth += 1
+
+
+def _clashing_group(
+    chain: MarkovChain,
+    size: int,
+    rep_seed: int,
+    forced_initial: int | None,
+    depth: int,
+    replicate: int,
+) -> DepthExceeded:
+    """DepthExceeded naming one group of one replicate that clashes at `depth`.
+
+    The kernel keeps no stream indices, so the replicate is rebuilt
+    explicitly; its streams are the kernel's, so `build_trie` meets a clashing
+    group at the same depth.
+    """
+    try:
+        build_trie(generate_strings(chain, size, rep_seed, forced_initial), depth)
+    except DepthExceeded as err:
+        return DepthExceeded(err.indices, depth, replicate)
+    raise RuntimeError(f"replicate {replicate} did not clash when rebuilt")

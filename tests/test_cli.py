@@ -136,6 +136,14 @@ def test_simulate_json_and_samples(tmp_path, capsys):
     assert_rerun_identical(capsys, samples, body, *argv)
 
 
+def test_simulate_depth_cap_exits_numeric(capsys):
+    code, out, err = run(capsys, "simulate", "--p00", "0.5", "--p11", "0.999999999",
+                         "--n", "64", "--m", "20", "--threads", "1", "--seed", "1")
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "in replicate" in err and "share a prefix of length 896" in err
+
+
 def test_simulate_rejects_tiny_n(capsys):
     code, _, err = run(capsys, "simulate", *CHAIN, "--n", "1", "--m", "10")
     assert code == EXIT_USAGE

@@ -90,6 +90,18 @@ def test_mixer_no_trivial_collisions():
     assert np.unique(vals).size == 100_000
 
 
+def test_mixing_leaves_inputs_untouched():
+    # the mixer works in place on its own temporaries, never on the caller's arrays
+    x = np.arange(1000, dtype=np.uint64) * np.uint64(7919)
+    seeds = replicate_seeds(4, np.arange(1000))
+    before_x, before_seeds = x.copy(), seeds.copy()
+    mixed = _mix64(x)
+    assert (mixed == np.array([_mix64_int(int(v)) for v in x], dtype=np.uint64)).all()
+    stream_seeds(seeds, x)
+    uniforms_at(seeds, 3)
+    assert (x == before_x).all() and (seeds == before_seeds).all()
+
+
 def test_stream_seeds_broadcast():
     idx = np.arange(50)
     batch = stream_seeds(123, idx)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trielab.exact_moments import mean_for_initial, variance_for_initial
-from trielab.markov_source import BitStream, MarkovChain, generate_strings, replicate_seeds
+from trielab.markov_source import (
+    PROB_FLOOR,
+    BitStream,
+    MarkovChain,
+    generate_strings,
+    replicate_seed,
+    replicate_seeds,
+)
 from trielab.trie import (
     DepthExceeded,
     batch_external_path_lengths,
@@ -74,6 +82,25 @@ def test_batch_kernel_depth_cap():
     assert len(err.value.indices) >= 2
 
 
+def test_batch_depth_error_names_one_clashing_group():
+    # p11 at its ceiling: streams that start with 1 stay 1 far past the cap,
+    # while the streams that start with 0 separate
+    chain = MarkovChain(0.5, 0.5, 1.0 - PROB_FLOOR)
+    n, m = 64, 20
+    with pytest.raises(DepthExceeded) as err:
+        batch_external_path_lengths(chain, np.full(m, n), replicate_seeds(1, np.arange(m)))
+    depth, names = err.value.depth, err.value.indices
+    assert depth == default_max_depth(n)
+    assert 0 <= err.value.replicate < m
+    streams = generate_strings(chain, n, replicate_seed(1, err.value.replicate))
+    prefixes = {j: streams[j].prefix(depth).tobytes() for j in range(n)}
+    shared = prefixes[names[0]]
+    assert len(names) >= 2
+    # the named streams are exactly the streams with that prefix: one group
+    assert set(names) == {j for j in range(n) if prefixes[j] == shared}
+    assert len(names) < n
+
+
 def test_default_max_depth_grows():
     assert default_max_depth(0) == 128
     assert default_max_depth(1000) > default_max_depth(10)
@@ -109,6 +136,59 @@ def test_batch_kernel_chunking_invariant():
     whole = batch_external_path_lengths(chain, sizes, seeds)
     tiny = batch_external_path_lengths(chain, sizes, seeds, chunk_elements=64)
     assert (whole == tiny).all()
+
+
+def test_batch_kernel_chunking_at_default_size():
+    # 40 tries of 2048 strings overflow one default chunk; the mixed list puts
+    # empty and singleton tries on both sides of the chunk boundaries
+    chain = MarkovChain(0.5, 0.6, 0.7)
+    mixed = np.array([0, 1, 2048, 30000, 1, 0, 40000, 2, 1 << 16, 0, 1, 5000])
+    for sizes in (np.full(40, 2048), mixed):
+        seeds = replicate_seeds(11, np.arange(len(sizes)))
+        default = batch_external_path_lengths(chain, sizes, seeds)
+        big = batch_external_path_lengths(chain, sizes, seeds, chunk_elements=1 << 22)
+        assert (default == big).all()
+        assert (default[sizes <= 1] == 0).all()
+
+
+def test_batch_kernel_memory_stays_cache_sized():
+    chain = MarkovChain(0.5, 0.6, 0.7)
+    m, n = 400, 2048
+    seeds = replicate_seeds(5, np.arange(m))
+    tracemalloc.start()
+    try:
+        batch_external_path_lengths(chain, np.full(m, n), seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+_EDGE_P = st.sampled_from([PROB_FLOOR, 1.0 - PROB_FLOOR, 0.5]) | st.floats(
+    min_value=PROB_FLOOR, max_value=1.0 - PROB_FLOOR
+)
+
+
+def _epl_or_depth(build):
+    try:
+        return build()
+    except DepthExceeded as err:
+        return ("depth", err.depth)
+
+
+@given(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0), _EDGE_P,
+       _EDGE_P, st.sampled_from([None, 0, 1]), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None)
+def test_batch_kernel_matches_build_on_edge_chains(mu0, p00, p11, forced, n, seed):
+    # near-deterministic rows either still separate the strings or leave a
+    # clashing group at the cap; both routes must agree on which, and where
+    chain = MarkovChain(mu0, p00, p11)
+    direct = _epl_or_depth(lambda: build_trie(
+        generate_strings(chain, n, seed, forced_initial=forced)).epl)
+    batch = _epl_or_depth(lambda: int(batch_external_path_lengths(
+        chain, [n], np.array([seed], dtype=np.uint64), forced_initial=forced)[0]))
+    assert batch == direct
 
 
 def test_permutation_invariance():
