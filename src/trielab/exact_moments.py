@@ -1,4 +1,4 @@
-"""Exact first and second moments of the path length by dynamic programming.
+"""Exact mean and variance of the path length by dynamic programming.
 
 Write nu_i[n] for the expected path length over n strings emitted from state
 i.  Splitting off the first emitted symbol gives, for n >= 2,
@@ -8,19 +8,24 @@ i.  Splitting off the first emitted symbol gives, for n >= 2,
 
 where b(n, p, .) is the binomial pmf.  The k = n and k = 0 terms refer back
 to level n itself, so each level is a 2x2 linear system; its determinant
-1 - p00^n ... stays away from zero because all p_ij < 1.  Second moments
-expand E[(n + A + B)^2] with A, B independent given the split and satisfy a
-system with the same matrix.  Everything below the current level is already
+stays away from zero because all p_ij < 1, and `_solve` forms it from masses
+without cancellation.  Once the means of level n are known, the law of total
+variance over the split gives the variances by a system with the same
+matrix: for state 0 the within term sum_k b (v_0[k] + v_1[n-k]) plus the
+between term sum_k b (g_k - nu_0[n] + n)^2, g_k = nu_0[k] + nu_1[n-k].  Every
+term is nonnegative, so the variance needs no subtraction of second moments
+and no extended precision.  Everything below the current level is already
 known, so one upward sweep fills the whole table.
 
-Binomial weights come from a multiplicative recurrence away from the mode,
-truncated below 1e-16 of the peak and renormalized; that keeps each level at
-O(sqrt(n)) work and the whole table at O(N^1.5).
+Binomial weights are kept only in their significant window, truncated below
+1e-16 of the peak and renormalized.  The sweep steps each row from the level
+below by Pascal's rule, one multiply and one add over the window, which
+keeps each level at O(sqrt(n)) work and the whole table at O(N^1.5).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +45,38 @@ class HorizonTooLarge(ValueError):
     """Requested table horizon exceeds the cap on the O(N^1.5) construction."""
 
 
-def binomial_window(n: int, p: float) -> tuple[int, np.ndarray]:
+def binomial_window(
+    n: int, p: float, below: tuple[int, np.ndarray] | None = None
+) -> tuple[int, np.ndarray]:
     """Binomial(n, p) pmf restricted to its significant window.
 
     Returns (k0, w): w[j] is the pmf at k = k0 + j, renormalized to total
-    mass 1 after dropping entries below WEIGHT_FLOOR times the peak.  The
-    support radius 10*sqrt(npq) + 8 holds everything above the floor.
+    mass 1 after dropping entries below WEIGHT_FLOOR times the peak.
+
+    Without `below` the row is built directly from the mode outward; the
+    support radius 10*sqrt(npq) + 8 holds everything above the floor.  With
+    `below`, the window (k0, w) of Binomial(n-1, p), the row is one Pascal
+    step b(n, k) = p b(n-1, k-1) + q b(n-1, k) over that window.
     """
+    q = 1.0 - p
+    if below is not None:
+        k0, w = below
+        v = np.empty(len(w) + 1)
+        np.multiply(w, q, out=v[:-1])
+        v[-1] = 0.0
+        v[1:] += p * w
+        # the row is unimodal, so only its ends can fall under the floor
+        floor = WEIGHT_FLOOR * v.max()
+        first, last = 0, len(v)
+        while v[first] < floor:
+            first += 1
+        while v[last - 1] < floor:
+            last -= 1
+        v = v[first:last]
+        v /= v.sum()
+        return k0 + first, v
     if n == 0:
         return 0, np.ones(1)
-    q = 1.0 - p
     mode = int((n + 1) * p)
     mode = min(max(mode, 0), n)
     half = int(10.0 * np.sqrt(n * p * q)) + 8
@@ -75,68 +102,77 @@ def binomial_window(n: int, p: float) -> tuple[int, np.ndarray]:
 
 @dataclass
 class MomentTable:
-    """nu, m2, var rows are indexed [i][n] for initial state i and size n."""
+    """nu and var rows are indexed [i][n] for initial state i and size n."""
 
     chain: MarkovChain
     N: int
     nu: np.ndarray  # shape (2, N+1)
-    m2: np.ndarray
-    var: np.ndarray = field(init=False)
+    var: np.ndarray
 
-    def __post_init__(self):
-        # the subtraction m2 - nu^2 loses ~12 digits at the top of the table,
-        # so run it in extended precision before rounding back
-        wide = self.m2.astype(np.longdouble) - self.nu.astype(np.longdouble) ** 2
-        self.var = wide.astype(np.float64)
+    @property
+    def m2(self) -> np.ndarray:
+        """Second moments E[L^2] = var + nu^2, derived afresh on each read."""
+        return self.var + self.nu**2
+
+
+def _solve(a01: float, a10: float, s0: float, s1: float,
+           rhs0: float, rhs1: float) -> tuple[float, float]:
+    """Solve (1 - a00) x - a01 y = rhs0, -a10 x + (1 - a11) y = rhs1.
+
+    Row i's weights sum to 1, so 1 - a00 = a01 + s0 and 1 - a11 = a10 + s1,
+    with s_i the interior mass 0 < k < n.  Written that way the determinant
+    is a sum of nonnegative terms, which keeps it accurate to rounding even
+    when a01 a10 is within 1e-8 of 1 (p00 and p11 near PROB_FLOOR).
+    """
+    det = a01 * s1 + a10 * s0 + s0 * s1
+    c0, c1 = a01 + s0, a10 + s1
+    return (c1 * rhs0 + a01 * rhs1) / det, (a10 * rhs0 + c0 * rhs1) / det
 
 
 def compute_moment_table(chain: MarkovChain, N: int = DEFAULT_HORIZON) -> MomentTable:
-    """Fill nu_i[n], m2_i[n] for n = 0..N by one sweep of 2x2 level solves."""
+    """Fill nu_i[n], var_i[n] for n = 0..N by one sweep of 2x2 level solves."""
     if N < 0:
         raise ValueError("horizon must be >= 0")
     if N > MAX_HORIZON:
         raise HorizonTooLarge(f"horizon {N} exceeds cap {MAX_HORIZON}")
     nu = np.zeros((2, N + 1))
-    m2 = np.zeros((2, N + 1))
-    p00, p01, p10, p11 = chain.p00, chain.p01, chain.p10, chain.p11
+    var = np.zeros((2, N + 1))
     nu0, nu1 = nu[0], nu[1]
-    m20, m21 = m2[0], m2[1]
+    var0, var1 = var[0], var[1]
+    # row i splits on the count k of strings staying in state i; `own` is
+    # indexed by k and `opp` by n - k
+    rows = ((chain.p00, nu0, nu1, var0, var1), (chain.p11, nu1, nu0, var1, var0))
+    # Binomial(1, p) rows, stepped up one level per pass below
+    windows = [(0, np.array([chain.p01, chain.p00])), (0, np.array([chain.p10, chain.p11]))]
     for n in range(2, N + 1):
-        # endpoint weights feed back into level n; they are the off-window
-        # exact masses, or the renormalized in-window values when present
-        a00, a01 = p00**n, p01**n
-        a11, a10 = p11**n, p10**n
-        sums = []
-        for p_row, a_hi, a_lo in ((p00, a00, a01), (p11, a11, a10)):
-            k0, w = binomial_window(n, p_row)
-            ks = np.arange(k0, k0 + len(w))
-            interior = (ks > 0) & (ks < n)
-            if not interior.all():
-                if ks[0] == 0:
-                    a_lo = w[0]
-                if ks[-1] == n:
-                    a_hi = w[-1]
-                w = w[interior]
-                ks = ks[interior]
-            sums.append((ks, w, a_hi, a_lo))
-        (ks0, w0, a00, a01), (ks1, w1, a11, a10) = sums
-        own0 = nu0[ks0]
-        opp0 = nu1[n - ks0]
-        own1 = nu1[ks1]
-        opp1 = nu0[n - ks1]
-        rhs0 = n + np.dot(w0, own0 + opp0)
-        rhs1 = n + np.dot(w1, own1 + opp1)
-        det = (1.0 - a00) * (1.0 - a11) - a01 * a10
-        x = ((1.0 - a11) * rhs0 + a01 * rhs1) / det
-        y = (a10 * rhs0 + (1.0 - a00) * rhs1) / det
+        splits = []
+        for i, (p, own, opp, _, _) in enumerate(rows):
+            k0, w = windows[i] = binomial_window(n, p, windows[i])
+            end = k0 + len(w)
+            # endpoint weights feed back into level n; they are the off-window
+            # exact masses, or the renormalized in-window values when present
+            a_same = w[-1] if end == n + 1 else p**n
+            a_other = w[0] if k0 == 0 else (1.0 - p) ** n
+            s, e = max(k0, 1), min(end, n)
+            w = w[s - k0 : e - k0]
+            g = own[s:e] + opp[n - e + 1 : n - s + 1][::-1]
+            splits.append((s, e, w, g, a_same, a_other, w.sum(), n + np.dot(w, g)))
+        (*_, a00, a01, s0, rhs0), (*_, a11, a10, s1, rhs1) = splits
+        x, y = _solve(a01, a10, s0, s1, rhs0, rhs1)
         nu0[n], nu1[n] = x, y
-        # E[(n + A + B)^2] = n^2 + 2n E[A+B] + E[A^2] + 2 E[A]E[B] + E[B^2];
-        # E[A+B] summed over the split equals nu_i[n] - n by the mean solve
-        rhs0 = n * n + 2.0 * n * (x - n) + np.dot(w0, m20[ks0] + m21[n - ks0] + 2.0 * own0 * opp0)
-        rhs1 = n * n + 2.0 * n * (y - n) + np.dot(w1, m21[ks1] + m20[n - ks1] + 2.0 * own1 * opp1)
-        m20[n] = ((1.0 - a11) * rhs0 + a01 * rhs1) / det
-        m21[n] = (a10 * rhs0 + (1.0 - a00) * rhs1) / det
-    return MomentTable(chain, N, nu, m2)
+        # law of total variance over the split: within-part variances plus
+        # the spread of g_k around its mean nu_i[n] - n; the k = n part has
+        # g = nu_i[n] and the k = 0 part g = nu_other[n]
+        rhs = []
+        for (s, e, w, g, a_same, a_other, _, _), (_, _, _, v_own, v_opp), mean, other in zip(
+            splits, rows, (x, y), (y, x)
+        ):
+            d = g - (mean - n)
+            within = v_own[s:e] + v_opp[n - e + 1 : n - s + 1][::-1]
+            rhs.append(np.dot(w, within + d * d)
+                       + a_same * n * n + a_other * (other - mean + n) ** 2)
+        var0[n], var1[n] = _solve(a01, a10, s0, s1, *rhs)
+    return MomentTable(chain, N, nu, var)
 
 
 def _split_weights(n: int, mu0: float) -> tuple[np.ndarray, np.ndarray]:

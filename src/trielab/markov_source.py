@@ -134,6 +134,18 @@ def _mix64_int(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _salted(indices: np.ndarray | int, salt: int) -> np.ndarray:
+    """(indices + 1) * salt mod 2^64 on a fresh uint64 array.
+
+    Updated in place, a 0-d array stays an array, so the wraparound is as
+    silent as for longer arrays (numpy scalar arithmetic would warn).
+    """
+    out = np.array(indices, dtype=np.uint64)
+    out += np.uint64(1)
+    out *= np.uint64(salt)
+    return out
+
+
 def stream_seeds(
     seed: int | np.ndarray, indices: np.ndarray | int
 ) -> np.ndarray | int:
@@ -145,8 +157,7 @@ def stream_seeds(
         return _mix64_int(
             (int(seed) & _MASK64) ^ _mix64_int((int(indices) + 1) * _STREAM_SALT)
         )
-    idx = np.asarray(indices, dtype=np.uint64)
-    salted = (idx + np.uint64(1)) * np.uint64(_STREAM_SALT)
+    salted = _salted(indices, _STREAM_SALT)
     if np.isscalar(seed):
         base = np.uint64(int(seed) & _MASK64)
     else:
@@ -160,8 +171,7 @@ def replicate_seed(seed: int, replicate: int) -> int:
 
 
 def replicate_seeds(seed: int, replicates: np.ndarray) -> np.ndarray:
-    rep = np.asarray(replicates, dtype=np.uint64)
-    salted = (rep + np.uint64(1)) * np.uint64(_REPLICATE_SALT)
+    salted = _salted(replicates, _REPLICATE_SALT)
     return _mix64_inplace(np.uint64(seed & _MASK64) ^ _mix64_inplace(salted))
 
 

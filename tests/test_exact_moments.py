@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,11 @@ from trielab.exact_moments import (
     mean_for_initial,
     variance_for_initial,
 )
-from trielab.markov_source import MarkovChain, SymmetricChain, entropy_rate
+from trielab.markov_source import PROB_FLOOR, MarkovChain, SymmetricChain, entropy_rate
+
+_EDGE_P = st.sampled_from([PROB_FLOOR, 1.0 - PROB_FLOOR, 0.5]) | st.floats(
+    min_value=PROB_FLOOR, max_value=1.0 - PROB_FLOOR
+)
 
 
 def test_frozen_values_n2(chain67):
@@ -65,6 +70,98 @@ def test_binomial_window_matches_scipy(n, p):
     assert np.max(np.abs(w - exact)) <= 1e-13
     # the window really does capture everything but dust
     assert stats.binom.cdf(k0 - 1, n, p) + stats.binom.sf(k0 + len(w) - 1, n, p) <= 1e-10
+
+
+@pytest.mark.parametrize("p", [PROB_FLOOR, 0.05, 0.6, 0.7, 0.95, 1.0 - PROB_FLOOR])
+def test_stepped_windows_match_direct(p):
+    # the DP steps each row from Binomial(1, p) up by Pascal's rule; 8192
+    # steps must stay on the directly built rows, and keep their mass
+    k0, w = 0, np.array([1.0 - p, p])
+    for n in range(2, 8193):
+        k0, w = binomial_window(n, p, (k0, w))
+        if n % 97 == 0:
+            d0, dw = binomial_window(n, p)
+            lo, hi = min(k0, d0), max(k0 + len(w), d0 + len(dw))
+            stepped, direct = np.zeros(hi - lo), np.zeros(hi - lo)
+            stepped[k0 - lo : k0 - lo + len(w)] = w
+            direct[d0 - lo : d0 - lo + len(dw)] = dw
+            assert np.max(np.abs(stepped - direct)) <= 1e-13 * dw.max()
+        if n in (2, 97, 1000, 8192):
+            outside = stats.binom.cdf(k0 - 1, n, p) + stats.binom.sf(k0 + len(w) - 1, n, p)
+            assert outside <= 1e-10
+            assert abs(w.sum() - 1.0) <= 1e-12
+
+
+def _exact_moments(p00: float, p11: float, N: int):
+    """nu and var rows in exact rationals from the second-moment recurrence.
+
+    The chain is the one the float DP sees: p00 and p11 are the rationals of
+    their floats, p01 = 1 - p00 and p10 = 1 - p11 exactly.  Full binomial
+    sums, no window; var = m2 - nu^2 is exact here.
+    """
+    P = (Fraction(p00), Fraction(p11))
+    nu = [[Fraction(0)] * (N + 1) for _ in range(2)]
+    m2 = [[Fraction(0)] * (N + 1) for _ in range(2)]
+    for n in range(2, N + 1):
+        b = [[math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)] for p in P]
+        # row i: nu_i[n] = c_i + b_i[n] nu_i[n] + b_i[0] nu_other[n]
+        det = (1 - b[0][n]) * (1 - b[1][n]) - b[0][0] * b[1][0]
+
+        def solve(r0, r1):
+            return (((1 - b[1][n]) * r0 + b[0][0] * r1) / det,
+                    (b[1][0] * r0 + (1 - b[0][n]) * r1) / det)
+
+        means = [n + sum(b[i][k] * (nu[i][k] + nu[1 - i][n - k]) for k in range(1, n))
+                 for i in (0, 1)]
+        nu[0][n], nu[1][n] = solve(*means)
+        # E[(n + A + B)^2] = n^2 + 2n E[A+B] + E[A^2] + 2 E[A]E[B] + E[B^2]
+        seconds = []
+        for i in (0, 1):
+            own, opp, m_own, m_opp = nu[i], nu[1 - i], m2[i], m2[1 - i]
+            r = sum(b[i][k] * (n * n + 2 * n * (own[k] + opp[n - k]) + m_own[k]
+                               + 2 * own[k] * opp[n - k] + m_opp[n - k]) for k in range(1, n))
+            r += b[i][n] * (n * n + 2 * n * own[n]) + b[i][0] * (n * n + 2 * n * opp[n])
+            seconds.append(r)
+        m2[0][n], m2[1][n] = solve(*seconds)
+    var = [[m2[i][n] - nu[i][n] ** 2 for n in range(N + 1)] for i in (0, 1)]
+    return nu, var
+
+
+def test_moments_match_exact_rationals(chain67):
+    # a certificate that needs no float wider than 64 bits
+    N = 24
+    table = compute_moment_table(chain67, N)
+    nu, var = _exact_moments(chain67.p00, chain67.p11, N)
+    for i in (0, 1):
+        assert table.nu[i][0] == table.nu[i][1] == table.var[i][0] == table.var[i][1] == 0.0
+        for n in range(2, N + 1):
+            assert abs(table.nu[i][n] - float(nu[i][n])) <= 1e-13 * float(nu[i][n])
+            assert abs(table.var[i][n] - float(var[i][n])) <= 1e-13 * float(var[i][n])
+
+
+@given(_EDGE_P, _EDGE_P, st.integers(min_value=2, max_value=64))
+@settings(max_examples=60, deadline=None)
+def test_edge_chain_tables(p00, p11, N):
+    table = compute_moment_table(MarkovChain(0.5, p00, p11), N)
+    assert np.isfinite(table.nu).all() and np.isfinite(table.var).all()
+    assert (table.var[:, 2:] > 0).all()
+    # both recurrences against scipy's full pmf, no window
+    for n in sorted({n for n in (2, 3, N // 2, N) if 2 <= n <= N}):
+        k = np.arange(n + 1)
+        for i, p in ((0, p00), (1, p11)):
+            w = stats.binom.pmf(k, n, p)
+            g = table.nu[i][k] + table.nu[1 - i][n - k]
+            mean = n + float(np.dot(w, g))
+            assert abs(table.nu[i][n] - mean) <= 1e-10 * table.nu[i][n]
+            within = table.var[i][k] + table.var[1 - i][n - k]
+            total = float(np.dot(w, within + (g - (table.nu[i][n] - n)) ** 2))
+            assert abs(table.var[i][n] - total) <= 1e-10 * table.var[i][n]
+    # a degenerate root split starts every string in one state
+    for mu0, row in ((0.0, 1), (1.0, 0)):
+        chain = MarkovChain(mu0, p00, p11)
+        for n in (0, 1, N):
+            assert mean_for_initial(chain, table, n) == table.nu[row][n]
+            assert variance_for_initial(chain, table, n) == table.var[row][n]
 
 
 def test_recurrence_residual_first_moment(chain67):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ def test_stream_seeds_broadcast():
     pairwise = stream_seeds(seeds, idx)
     for j in (0, 17, 49):
         assert int(pairwise[j]) == int(stream_seeds(int(seeds[j]), int(idx[j])))
+
+
+def test_scalar_salting_is_silent():
+    # one argument scalar and the other an array: the salted multiply wraps
+    # mod 2^64 without an overflow warning, with the values of the int mixer
+    seeds = np.array([5, 6], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = stream_seeds(seeds, 3)
+        single = replicate_seeds(1, 3)
+    salted = _mix64_int(4 * 0xD1B54A32D192ED03)
+    assert [int(v) for v in pair] == [_mix64_int(5 ^ salted), _mix64_int(6 ^ salted)]
+    assert int(single) == _mix64_int(1 ^ _mix64_int(4 * 0x8CB92BA72F3D8DD7))
+    assert int(single) == replicate_seed(1, 3)
 
 
 def test_replicate_seed_scalar_matches_array():
