@@ -23,7 +23,7 @@ from trielab.markov_source import (
     stationary_distribution,
 )
 from trielab.spectral import sigma_squared, spectral_constants
-from trielab.trie import DepthExceeded, Trie, TrieStats, build_trie
+from trielab.trie import DepthExceeded, Trie, build_trie
 
 __all__ = [
     "BitStream",
@@ -34,7 +34,6 @@ __all__ = [
     "stationary_distribution",
     "DepthExceeded",
     "Trie",
-    "TrieStats",
     "build_trie",
     "compute_moment_table",
     "mean_for_initial",

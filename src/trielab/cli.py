@@ -243,16 +243,16 @@ def _cmd_contraction(args) -> int:
 
 def _cmd_trie_stats(args) -> int:
     chain = _chain_of(args)
-    stats = build_trie(generate_strings(chain, args.n, args.seed)).stats()
-    hist = [int(c) for c in stats.depth_histogram]
+    trie = build_trie(generate_strings(chain, args.n, args.seed))
+    hist = [int(c) for c in trie.depth_histogram]
     lines = [
         f"trie over n={args.n} strings, seed {args.seed}",
-        f"external path length {stats.epl}",
-        f"internal nodes {stats.size}  height {stats.height}",
+        f"external path length {trie.epl}",
+        f"internal nodes {trie.size}  height {trie.height}",
     ]
     return _finish(
         args, chain, {"n": args.n, "seed": args.seed},
-        {"n": args.n, "epl": stats.epl, "size": stats.size, "height": stats.height,
+        {"n": args.n, "epl": trie.epl, "size": trie.size, "height": trie.height,
          "depth_histogram": hist}, lines,
         args.histogram, ["depth", "count"], enumerate(hist),
     )

@@ -43,8 +43,14 @@ class SingularFit(ValueError):
     """Variance-growth regression needs >= 4 distinct grid points."""
 
 
-_INITIAL_MODES = ("delta0", "delta1", "mu")
+_FORCED_INITIAL = {"delta0": 0, "delta1": 1, "mu": None}  # initial mode -> first bit
 _STANDARDIZATIONS = ("oracle", "asymptotic")
+
+
+def _forced_initial(initial: str) -> int | None:
+    if initial not in _FORCED_INITIAL:
+        raise ValueError(f"initial must be one of {tuple(_FORCED_INITIAL)}")
+    return _FORCED_INITIAL[initial]
 
 
 @dataclass(frozen=True)
@@ -69,14 +75,13 @@ class SimulationConfig:
             raise ValueError("n must be >= 0")
         if self.m < 2:
             raise ValueError("m must be >= 2")
-        if self.initial not in _INITIAL_MODES:
-            raise ValueError(f"initial must be one of {_INITIAL_MODES}")
+        _forced_initial(self.initial)
         if self.standardization not in _STANDARDIZATIONS:
             raise ValueError(f"standardization must be one of {_STANDARDIZATIONS}")
 
     @property
     def forced_initial(self) -> int | None:
-        return {"delta0": 0, "delta1": 1, "mu": None}[self.initial]
+        return _FORCED_INITIAL[self.initial]
 
 
 class EmpiricalCloud:
@@ -187,9 +192,9 @@ def simulate_epl_poisson(
     chain: MarkovChain, lam: float, m: int, seed: int, initial: str = "mu"
 ) -> EmpiricalCloud:
     """Path lengths of tries over Poisson(lam)-many strings, one draw per replicate."""
+    forced = _forced_initial(initial)
     sizes = np.random.default_rng(seed).poisson(lam, m).astype(np.int64)
     seeds = replicate_seeds(seed, np.arange(m))
-    forced = {"delta0": 0, "delta1": 1, "mu": None}[initial]
     raw = batch_external_path_lengths(chain, sizes, seeds, forced_initial=forced)
     return EmpiricalCloud(raw - np.where(sizes >= 2, sizes, 0))
 

@@ -72,9 +72,6 @@ class MarkovChain:
         """True iff some transition probability differs from 1/2."""
         return self.p00 != 0.5 or self.p11 != 0.5
 
-    def transition_matrix(self) -> np.ndarray:
-        return np.array([[self.p00, self.p01], [self.p10, self.p11]])
-
     def require_asymmetric(self) -> None:
         if not self.is_asymmetric:
             raise SymmetricChain(

@@ -136,9 +136,6 @@ class SpectralConstants:
     sigma2_eigen: float
     sigma2_explicit: float
 
-    def lambda_at(self, s: float) -> float:
-        return lambda_of_s(self.chain, s)
-
     def xi(self, s: float) -> float:
         return contraction_factor(self.chain, s)
 

@@ -1,4 +1,4 @@
-"""Binary tries over bit streams: explicit builder and a batched path-length kernel.
+"""Binary tries over bit streams: a reference builder and a batched path-length kernel.
 
 A trie over n distinct strings stores each string at its minimal
 distinguishing prefix.  Internal nodes may carry a single child (no path
@@ -8,9 +8,10 @@ of the leaf depths and satisfies, for n >= 2,
 
     epl = n + epl(left subtrie) + epl(right subtrie),
 
-because every string consumes one symbol at the root.  The batched kernel
-below exploits exactly this identity: it never materialises nodes, it only
-tracks which strings still share a group with somebody else.
+because every string consumes one symbol at the root.  Neither route below
+materialises nodes: the reference builder splits groups of streams and
+records leaf depths, and the batched kernel exploits exactly this identity,
+tracking only which strings still share a group with somebody else.
 """
 
 from __future__ import annotations
@@ -52,89 +53,54 @@ def default_max_depth(n: int) -> int:
     return 128 * (n + 1).bit_length()
 
 
-class _Node:
-    __slots__ = ("left", "right", "leaf")
-
-    def __init__(self):
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-        self.leaf: int | None = None
-
-
 @dataclass(frozen=True)
-class TrieStats:
-    """Internal node count, height, EPL and leaf-depth histogram of one trie."""
-
-    epl: int
-    size: int
-    height: int
-    depth_histogram: np.ndarray  # depth_histogram[d] = #leaves at depth d
-
-
 class Trie:
-    """Explicit trie over `n` streams; kept for inspection and cross-checks."""
+    """Leaf depths and internal-node count of one trie over n streams."""
 
-    def __init__(self, root: _Node | None, n: int, leaf_depths: np.ndarray):
-        self.root = root
-        self.n = n
-        self.leaf_depths = leaf_depths  # leaf_depths[j] = depth of stream j
+    leaf_depths: np.ndarray  # leaf_depths[j] = depth of stream j
+    size: int  # internal nodes
 
     @property
     def epl(self) -> int:
         return int(self.leaf_depths.sum())
 
-    def stats(self) -> TrieStats:
-        size = 0
-        height = 0
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            if node.leaf is None:
-                size += 1
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
-        if self.n:
-            height = int(self.leaf_depths.max())
-            hist = np.bincount(self.leaf_depths, minlength=height + 1)
-        else:
-            hist = np.zeros(0, dtype=np.int64)
-        return TrieStats(self.epl, size, height, hist)
+    @property
+    def height(self) -> int:
+        return int(self.leaf_depths.max(initial=0))
+
+    @property
+    def depth_histogram(self) -> np.ndarray:
+        """depth_histogram[d] = #leaves at depth d; empty for n = 0."""
+        return np.bincount(self.leaf_depths)
 
 
 def build_trie(streams: list[BitStream], max_depth: int | None = None) -> Trie:
-    """Build the trie over `streams`; n <= 1 gives a single leaf at depth 0.
+    """Reference builder: split groups of streams bit by bit until each is alone.
 
-    Iterative (explicit stack), so the depth cap is not limited by the Python
-    recursion limit.  Raises DepthExceeded when a group of >= 2 streams still
-    agrees at `max_depth`.
+    n <= 1 gives a single leaf at depth 0.  Every popped group of >= 2
+    streams is one internal node.  Iterative (explicit stack), so the depth
+    cap is not limited by the Python recursion limit.  Raises DepthExceeded
+    when a group of >= 2 streams still agrees at `max_depth`.
     """
     n = len(streams)
     if max_depth is None:
         max_depth = default_max_depth(n)
     leaf_depths = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return Trie(None, 0, leaf_depths)
-    root = _Node()
-    stack: list[tuple[_Node, list[int], int]] = [(root, list(range(n)), 0)]
+    size = 0
+    stack = [(list(range(n)), 0)] if n else []
     while stack:
-        node, group, depth = stack.pop()
+        group, depth = stack.pop()
         if len(group) == 1:
-            node.leaf = group[0]
             leaf_depths[group[0]] = depth
             continue
         if depth >= max_depth:
             raise DepthExceeded(group, depth)
-        zeros = [j for j in group if streams[j].bit(depth) == 0]
-        ones = [j for j in group if streams[j].bit(depth) == 1]
-        if zeros:
-            node.left = _Node()
-            stack.append((node.left, zeros, depth + 1))
-        if ones:
-            node.right = _Node()
-            stack.append((node.right, ones, depth + 1))
-    return Trie(root, n, leaf_depths)
+        size += 1
+        halves = ([], [])
+        for j in group:
+            halves[streams[j].bit(depth)].append(j)
+        stack.extend((half, depth + 1) for half in halves if half)
+    return Trie(leaf_depths, size)
 
 
 def min_external_path_length(n: int) -> int:

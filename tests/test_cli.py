@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+import trielab
 from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, schema_for
 
 CHAIN = ["--p00", "0.6", "--p11", "0.7"]
@@ -174,6 +175,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+def test_public_names_resolve():
+    # a name dropped from the package but left in __all__ breaks `import *`
+    missing = [name for name in trielab.__all__ if getattr(trielab, name, None) is None]
+    assert missing == []
 
 
 def test_contraction_json(tmp_path, capsys):

@@ -55,6 +55,11 @@ def test_config_validation(chain67):
     assert SimulationConfig(chain67, 8, 10, 0).forced_initial is None
 
 
+def test_poisson_simulation_rejects_unknown_initial(chain67):
+    with pytest.raises(ValueError, match="initial must be one of"):
+        simulate_epl_poisson(chain67, 4.0, 10, 0, initial="bogus")
+
+
 def test_simulation_thread_invariance(chain67):
     config = SimulationConfig(chain67, 64, 400, 7)
     single = simulate_epl(config, threads=1)

@@ -165,7 +165,7 @@ def test_spectral_constants_bundle(chain67):
     assert consts.H == H and consts.H0 == H0 and consts.H1 == H1
     assert abs(consts.pi0 - 3.0 / 7.0) <= 1e-15
     assert abs(consts.pi1 - 4.0 / 7.0) <= 1e-15
-    assert abs(consts.lambda_at(-1.0) - 1.0) <= 1e-12
+    assert abs(lambda_of_s(chain67, -1.0) - 1.0) <= 1e-12
     assert abs(consts.lam_dot_m1 - H) <= 1e-6
     assert abs(consts.sigma2_explicit - 0.44566789578520777) <= 1e-14
     assert abs(consts.xi(3.0) - 0.7499787858254027) <= 1e-14

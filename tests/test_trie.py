@@ -38,11 +38,10 @@ def test_prefix_free_example():
     trie = build_trie([FixedStream(s) for s in ("000", "001", "01", "1")])
     assert trie.epl == 9
     assert list(trie.leaf_depths) == [3, 3, 2, 1]
-    stats = trie.stats()
-    assert stats.epl == 9
-    assert stats.size == 3  # root, "0", "00"
-    assert stats.height == 3
-    assert list(stats.depth_histogram) == [0, 1, 1, 2]
+    assert trie.epl == 9
+    assert trie.size == 3  # root, "0", "00"
+    assert trie.height == 3
+    assert list(trie.depth_histogram) == [0, 1, 1, 2]
 
 
 def test_two_streams_diverging():
@@ -59,7 +58,10 @@ def test_two_streams_diverging():
 def test_degenerate_sizes():
     assert build_trie([]).epl == 0
     assert build_trie([FixedStream("0")]).epl == 0
-    assert build_trie([FixedStream("0")]).stats().size == 0
+    assert build_trie([FixedStream("0")]).size == 0
+    empty, single = build_trie([]), build_trie([FixedStream("0")])
+    assert empty.height == 0 and list(empty.depth_histogram) == []
+    assert single.height == 0 and list(single.depth_histogram) == [1]
 
 
 def test_depth_cap_on_duplicate_streams():
@@ -191,6 +193,39 @@ def test_batch_kernel_matches_build_on_edge_chains(mu0, p00, p11, forced, n, see
     assert batch == direct
 
 
+@given(_EDGE_P, _EDGE_P, st.sampled_from([None, 0, 1]), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=40, deadline=None)
+def test_record_matches_shared_prefixes(p00, p11, forced, n, seed):
+    # internal nodes are the prefixes shared by >= 2 streams, and a stream's
+    # leaf sits one symbol below the longest prefix it shares with another
+    chain = MarkovChain(0.5, p00, p11)
+    streams = generate_strings(chain, n, seed, forced_initial=forced)
+    try:
+        trie = build_trie(streams)
+    except DepthExceeded as err:
+        clash = {streams[j].prefix(err.depth).tobytes() for j in err.indices}
+        assert len(err.indices) >= 2 and len(clash) == 1
+        return
+    size, shared = 0, [-1] * n
+    for d in range(trie.height + 1):
+        groups: dict[bytes, list[int]] = {}
+        for j in range(n):
+            groups.setdefault(streams[j].prefix(d).tobytes(), []).append(j)
+        for members in groups.values():
+            if len(members) >= 2:
+                size += 1
+                for j in members:
+                    shared[j] = d
+    assert trie.size == size
+    assert list(trie.leaf_depths) == [d + 1 for d in shared]
+    assert trie.height == max(trie.leaf_depths, default=0)
+    hist = [0] * (trie.height + 1) if n else []
+    for d in trie.leaf_depths:
+        hist[d] += 1
+    assert list(trie.depth_histogram) == hist
+
+
 def test_permutation_invariance():
     chain = MarkovChain(0.5, 0.6, 0.7)
     streams = generate_strings(chain, 25, 4)
@@ -217,11 +252,10 @@ def test_balanced_lower_bound():
 def test_stats_histogram_consistency():
     chain = MarkovChain(0.5, 0.3, 0.8)
     trie = build_trie(generate_strings(chain, 300, 12))
-    stats = trie.stats()
-    hist = stats.depth_histogram
+    hist = trie.depth_histogram
     assert hist.sum() == 300
-    assert stats.height == len(hist) - 1
-    assert int((np.arange(len(hist)) * hist).sum()) == stats.epl
+    assert trie.height == len(hist) - 1
+    assert int((np.arange(len(hist)) * hist).sum()) == trie.epl
     assert hist[0] == 0  # no leaf at the root for n >= 2
 
 
