@@ -96,7 +96,9 @@ def _finish(args, chain: MarkovChain, config: dict, fields: dict, lines: list,
     `config` and `fields` are the subcommand's own manifest config and report
     fields; the chain fields are added here.  With `out` set, `header` (None
     for none) and `rows` go to that CSV and the text output says so.  Prints
-    the JSON report under --json, else the text lines.
+    the JSON report under --json, else the text lines.  The envelope it adds
+    to every report (manifest, generated, chain) has its contract in
+    schemas/report.schema.json.
     """
     config = {**chain.as_dict(), **config}
     manifest = {
@@ -118,9 +120,14 @@ def _finish(args, chain: MarkovChain, config: dict, fields: dict, lines: list,
 
 
 def schema_for(subcommand: str) -> dict:
-    """Parsed JSON schema shipped with the package for one subcommand's report."""
-    name = subcommand.replace("-", "_") + ".schema.json"
-    return json.loads(resources.files("trielab.schemas").joinpath(name).read_text())
+    """JSON schema of one subcommand's report: the envelope every report shares
+    (report.schema.json) merged with that subcommand's own fields."""
+    files = resources.files("trielab.schemas")
+    envelope, own = (json.loads(files.joinpath(name).read_text()) for name in
+                     ("report.schema.json", subcommand.replace("-", "_") + ".schema.json"))
+    return {**envelope, "title": own["title"],
+            "required": envelope["required"] + own["required"],
+            "properties": {**envelope["properties"], **own["properties"]}}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -168,6 +175,9 @@ def _cmd_oracle(args) -> int:
 def _cmd_poisson_check(args) -> int:
     chain = _chain_of(args)
     lams = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
+    if not lams:
+        print("poisson-check: --lambdas needs at least one rate", file=sys.stderr)
+        return EXIT_USAGE
     table = compute_moment_table(chain, args.n_max)
     rows = [{"lambda": lam, "i": i,
              "eq10_residual": check_mean_decomposition(table, i, lam),

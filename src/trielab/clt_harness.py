@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, pdtr
 
 from trielab.exact_moments import MomentTable, mean_for_initial, variance_for_initial
 from trielab.markov_source import MarkovChain, replicate_seeds, stream_seeds, uniform_block
@@ -44,6 +44,7 @@ class SingularFit(ValueError):
 
 
 _FORCED_INITIAL = {"delta0": 0, "delta1": 1, "mu": None}  # initial mode -> first bit
+_POISSON_SIZE_SALT = 200  # stream of the per-replicate Poisson sizes
 _STANDARDIZATIONS = ("oracle", "asymptotic")
 
 
@@ -193,10 +194,23 @@ def simulate_epl_poisson(
 ) -> EmpiricalCloud:
     """Path lengths of tries over Poisson(lam)-many strings, one draw per replicate."""
     forced = _forced_initial(initial)
-    sizes = np.random.default_rng(seed).poisson(lam, m).astype(np.int64)
+    sizes = poisson_sizes(lam, m, seed)
     seeds = replicate_seeds(seed, np.arange(m))
     raw = batch_external_path_lengths(chain, sizes, seeds, forced_initial=forced)
     return EmpiricalCloud(raw - np.where(sizes >= 2, sizes, 0))
+
+
+def poisson_sizes(lam: float, m: int, seed: int) -> np.ndarray:
+    """m counter-seeded Poisson(lam) draws, by inverting the CDF at salted uniforms.
+
+    The CDF is tabulated up to lam + 12 sqrt(lam) + 12, past which the mass
+    is far below one uniform's resolution.
+    """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    top = math.ceil(lam + 12.0 * math.sqrt(lam) + 12.0)
+    u = uniform_block(stream_seeds(seed, _POISSON_SIZE_SALT), 0, m)
+    return np.searchsorted(pdtr(np.arange(top + 1), lam), u, side="right")
 
 
 def standardize(cloud: EmpiricalCloud, center: float, scale: float) -> EmpiricalCloud:

@@ -38,6 +38,9 @@ class PoissonizedValue:
 
 
 def _window(lam: float, N: int, need_shift: int = 0) -> tuple[int, int]:
+    """Summation window of Poisson(lam) on a table of horizon N."""
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError(f"Poisson rate must be finite and > 0, got {lam}")
     spread = 12.0 * math.sqrt(lam) + 12.0
     hi = math.ceil(lam + spread)
     if hi + need_shift > N:
@@ -93,8 +96,6 @@ def _tail_bound(lam: float, lo: int, hi: int, values: np.ndarray) -> float:
 
 def poissonized_mean(table: MomentTable, i: int, lam: float) -> PoissonizedValue:
     """Poisson(lam) mixture of nu_i, windowed, with certified truncation error."""
-    if lam <= 0.0:
-        raise ValueError("lam must be > 0")
     lo, hi = _window(lam, table.N)
     w = _weights(lam, lo, hi)
     value = float(np.dot(w, table.nu[i][lo : hi + 1]))
@@ -103,8 +104,6 @@ def poissonized_mean(table: MomentTable, i: int, lam: float) -> PoissonizedValue
 
 def poissonized_mean_derivative(table: MomentTable, i: int, z: float) -> float:
     """d/dz of the Poissonized mean: E[nu_i(N_z + 1)] - E[nu_i(N_z)]."""
-    if z <= 0.0:
-        raise ValueError("z must be > 0")
     lo, hi = _window(z, table.N, need_shift=1)
     w = _weights(z, lo, hi)
     shifted = float(np.dot(w, table.nu[i][lo + 1 : hi + 2]))
@@ -114,8 +113,6 @@ def poissonized_mean_derivative(table: MomentTable, i: int, z: float) -> float:
 
 def poissonized_variance(table: MomentTable, i: int, lam: float) -> PoissonizedValue:
     """Variance of the size-mixed path length: E[var | N] + Var(nu(N))."""
-    if lam <= 0.0:
-        raise ValueError("lam must be > 0")
     lo, hi = _window(lam, table.N)
     w = _weights(lam, lo, hi)
     nu_slice = table.nu[i][lo : hi + 1]

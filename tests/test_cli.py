@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -7,6 +8,9 @@ import trielab
 from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, schema_for
 
 CHAIN = ["--p00", "0.6", "--p11", "0.7"]
+SUBCOMMANDS = ("analyze", "oracle", "poisson-check", "simulate",
+               "contraction", "trie-stats", "verify")
+ENVELOPE = ["manifest", "generated", "chain"]
 
 
 def run(capsys, *argv):
@@ -29,6 +33,13 @@ def csv_body(path):
     return manifest, [lines[0]] + lines[2:]
 
 
+def validate(report, sub):
+    """The report satisfies its schema, and the schema describes every field."""
+    schema = schema_for(sub)
+    jsonschema.validate(report, schema)
+    assert set(report) <= set(schema["properties"])
+
+
 def assert_rerun_identical(capsys, path, body, *argv):
     """Rerunning the same flags rewrites `path` byte identical but for the timestamp."""
     code, _, _ = run(capsys, *argv)
@@ -37,17 +48,22 @@ def assert_rerun_identical(capsys, path, body, *argv):
 
 
 def test_schemas_ship_for_every_subcommand():
-    for sub in ("analyze", "oracle", "poisson-check", "simulate",
-                "contraction", "trie-stats", "verify"):
+    files = resources.files("trielab.schemas")
+    for sub in SUBCOMMANDS:
         schema = schema_for(sub)
         assert schema["$schema"].startswith("http://json-schema.org/")
-        assert "manifest" in schema["required"]
+        assert schema["required"][:3] == ENVELOPE
+        assert {"chain", "manifest"} <= set(schema["definitions"])
+        # the envelope lives in report.schema.json alone, not copied per subcommand
+        own = json.loads(files.joinpath(sub.replace("-", "_") + ".schema.json").read_text())
+        assert not {"$schema", "definitions"} & set(own)
+        assert not set(ENVELOPE) & (set(own["properties"]) | set(own["required"]))
 
 
 def test_analyze_json(capsys):
     code, report, _ = run_json(capsys, "analyze", *CHAIN)
     assert code == EXIT_OK
-    jsonschema.validate(report, schema_for("analyze"))
+    validate(report, "analyze")
     assert report["chain"] == {"mu0": 0.5, "p00": 0.6, "p11": 0.7}
     assert report["H"] == pytest.approx(0.6374988870353349, abs=1e-13)
     assert report["sigma2"] == pytest.approx(0.44566789578520777, abs=1e-10)
@@ -67,7 +83,7 @@ def test_oracle_csv_reproducible(tmp_path, capsys):
     code, report, _ = run_json(capsys, "oracle", *CHAIN, "--n-max", "32",
                                "--out", str(out))
     assert code == EXIT_OK
-    jsonschema.validate(report, schema_for("oracle"))
+    validate(report, "oracle")
     assert len(report["head"]) == 9
     assert report["head"][2]["nu0"] == pytest.approx(335.0 / 78.0, abs=1e-12)
     manifest, body_a = csv_body(out)
@@ -89,7 +105,7 @@ def test_oracle_symmetric_chain(tmp_path, capsys):
     argv = ["oracle", "--p00", "0.5", "--p11", "0.5", "--n-max", "16", "--out", str(out)]
     code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
-    jsonschema.validate(report, schema_for("oracle"))
+    validate(report, "oracle")
     manifest, body = csv_body(out)
     assert manifest["outputs"] == [str(out)]
     assert body[1] == "n,nu0,nu1,var0,var1,f0,f1"
@@ -105,7 +121,7 @@ def test_poisson_check_json(tmp_path, capsys):
             "--out", str(out)]
     code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
-    jsonschema.validate(report, schema_for("poisson-check"))
+    validate(report, "poisson-check")
     assert len(report["rows"]) == 4
     assert report["worst_residual"] <= 1e-10
     _, body = csv_body(out)
@@ -121,13 +137,23 @@ def test_poisson_check_horizon_error(capsys):
     assert "numeric error" in err
 
 
+def test_poisson_check_rejects_bad_rates(capsys):
+    for lambdas, message in (("inf", "finite and > 0"), ("nan", "finite and > 0"),
+                             (",", "at least one rate")):
+        code, out, err = run(capsys, "poisson-check", *CHAIN,
+                             "--lambdas", lambdas, "--n-max", "64")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
+
 def test_simulate_json_and_samples(tmp_path, capsys):
     samples = tmp_path / "cloud.csv"
     argv = ["simulate", *CHAIN, "--n", "64", "--m", "300", "--seed", "5",
             "--standardize", "oracle", "--samples", str(samples)]
     code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
-    jsonschema.validate(report, schema_for("simulate"))
+    validate(report, "simulate")
     assert report["config"]["n"] == 64 and report["config"]["m"] == 300
     assert report["scale"] > 0.0
     assert set(report["flags"]) == {"mean_ok", "var_ok", "ks_ok"}
@@ -189,7 +215,7 @@ def test_contraction_json(tmp_path, capsys):
             "--out", str(out)]
     code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
-    jsonschema.validate(report, schema_for("contraction"))
+    validate(report, "contraction")
     assert [r["iteration"] for r in report["rows"]] == [0, 1, 2]
     assert report["final_ks"] == pytest.approx(
         max(report["rows"][-1]["ks0"], report["rows"][-1]["ks1"]))
@@ -204,7 +230,7 @@ def test_trie_stats_json(tmp_path, capsys):
     argv = ["trie-stats", *CHAIN, "--n", "500", "--seed", "3", "--histogram", str(hist)]
     code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
-    jsonschema.validate(report, schema_for("trie-stats"))
+    validate(report, "trie-stats")
     assert report["epl"] == 5713
     assert report["size"] == 829
     assert report["height"] == 21
@@ -221,7 +247,7 @@ def test_verify_quick_symmetric_skips(capsys):
     code, report, _ = run_json(capsys, "verify", "--p00", "0.5", "--p11", "0.5",
                                "--budget", "quick")
     assert code == EXIT_OK
-    jsonschema.validate(report, schema_for("verify"))
+    validate(report, "verify")
     status = {item["name"]: item["status"] for item in report["items"]}
     assert status["variance_fit"] == "skipped"
     assert status["clt_ks"] == "skipped"

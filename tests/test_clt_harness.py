@@ -15,6 +15,7 @@ from trielab.clt_harness import (
     fit_variance_growth,
     ks_distance,
     ks_two_sample,
+    poisson_sizes,
     simulate_epl,
     simulate_epl_poisson,
     standardization_parameters,
@@ -95,11 +96,25 @@ def test_two_string_mean_fair_chain():
 def test_poisson_sizes_handle_small_counts(chain67):
     lam, m, seed = 1.0, 400, 11
     cloud = simulate_epl_poisson(chain67, lam, m, seed)
-    sizes = np.random.default_rng(seed).poisson(lam, m)
+    sizes = poisson_sizes(lam, m, seed)
     assert (cloud.samples[sizes < 2] == 0.0).all()
     assert (cloud.samples >= 0.0).all()
     repeat = simulate_epl_poisson(chain67, lam, m, seed)
     assert (cloud.samples == repeat.samples).all()
+
+
+def test_poisson_sizes_follow_poisson_law():
+    m = 100_000
+    for lam in (0.0, 3.5, 250.0):
+        sizes = poisson_sizes(lam, m, 5)
+        assert abs(sizes.mean() - lam) <= 4.0 * math.sqrt(lam / m)
+        ks = np.arange(sizes.max() + 1)
+        ecdf = np.cumsum(np.bincount(sizes)) / m
+        assert np.max(np.abs(ecdf - stats.poisson.cdf(ks, lam))) <= 2.0 / math.sqrt(m)
+    assert (poisson_sizes(3.5, m, 5) != poisson_sizes(3.5, m, 6)).any()
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            poisson_sizes(bad, 10, 0)
 
 
 def test_standardize_arithmetic_and_bad_scale():

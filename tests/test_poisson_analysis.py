@@ -57,6 +57,10 @@ def test_invalid_lambda(table67):
         poissonized_variance(table67, 0, -3.0)
     with pytest.raises(ValueError):
         poissonized_mean_derivative(table67, 0, 0.0)
+    for bad in (math.nan, math.inf):
+        for func in (poissonized_mean, poissonized_variance, poissonized_mean_derivative):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                func(table67, 0, bad)
 
 
 def test_horizon_too_small(chain67):
