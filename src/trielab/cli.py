@@ -53,6 +53,7 @@ from trielab.markov_source import (
 from trielab.poisson_analysis import (
     HorizonTooSmall,
     check_mean_decomposition,
+    check_rate,
     check_variance_decomposition,
 )
 from trielab.spectral import lambda_derivatives, lambda_of_s, sigma_squared, spectral_constants
@@ -178,6 +179,8 @@ def _cmd_poisson_check(args) -> int:
     if not lams:
         print("poisson-check: --lambdas needs at least one rate", file=sys.stderr)
         return EXIT_USAGE
+    for lam in lams:
+        check_rate(lam)
     table = compute_moment_table(chain, args.n_max)
     rows = [{"lambda": lam, "i": i,
              "eq10_residual": check_mean_decomposition(table, i, lam),

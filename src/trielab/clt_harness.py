@@ -14,6 +14,12 @@ from two clouds with coefficients whose squares sum to one and centers each
 output cloud, so a pair of standard normal clouds is (statistically) a fixed
 point, and iterating from any other centered unit-variance pair contracts
 toward it.
+
+The normal CDF behind `ks_distance` is Phi(x) = erfc(-z)/2, z = x/sqrt 2,
+with erf and erfc from W. J. Cody's rational Chebyshev approximations
+(Math. Comp. 23, 1969; netlib specfun CALERF): one for |z| <= 0.5, one for
+0.5 < |z| <= 4 and one in 1/z^2 beyond, the last two times exp(-z^2) split
+at trunc(16z)/16 so that the exponential keeps full relative accuracy.
 """
 
 from __future__ import annotations
@@ -24,10 +30,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, pdtr
 
 from trielab.exact_moments import MomentTable, mean_for_initial, variance_for_initial
 from trielab.markov_source import MarkovChain, replicate_seeds, stream_seeds, uniform_block
+from trielab.poisson_analysis import _weights
 from trielab.trie import DepthExceeded, batch_external_path_lengths
 
 
@@ -203,14 +209,17 @@ def simulate_epl_poisson(
 def poisson_sizes(lam: float, m: int, seed: int) -> np.ndarray:
     """m counter-seeded Poisson(lam) draws, by inverting the CDF at salted uniforms.
 
-    The CDF is tabulated up to lam + 12 sqrt(lam) + 12, past which the mass
-    is far below one uniform's resolution.
+    The CDF is the running sum of the exact pmf (`poisson_analysis._weights`)
+    up to lam + 12 sqrt(lam) + 12, past which the mass is far below one
+    uniform's resolution.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    if lam == 0.0:
+        return np.zeros(m, dtype=np.intp)
     top = math.ceil(lam + 12.0 * math.sqrt(lam) + 12.0)
     u = uniform_block(stream_seeds(seed, _POISSON_SIZE_SALT), 0, m)
-    return np.searchsorted(pdtr(np.arange(top + 1), lam), u, side="right")
+    return np.searchsorted(np.cumsum(_weights(lam, 0, top)), u, side="right")
 
 
 def standardize(cloud: EmpiricalCloud, center: float, scale: float) -> EmpiricalCloud:
@@ -245,9 +254,88 @@ def ks_distance(cloud: EmpiricalCloud) -> float:
         raise EmptyCloud("cloud has no samples")
     x = np.sort(cloud.samples)
     m = x.size
-    cdf = ndtr(x)
+    cdf = _normal_cdf(x)
     grid = np.arange(1, m + 1) / m
     return float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / m))))
+
+
+# Cody's coefficients, lowest order first: erf(y) = y P(y^2)/Q(y^2) on
+# |y| <= 0.5; erfc(y) = exp(-y^2) P(y)/Q(y) on (0.5, 4]; erfc(y) =
+# exp(-y^2) (1/sqrt(pi) - r P(r)/Q(r)) / y with r = 1/y^2 beyond 4.  Each Q
+# is monic in its top degree.
+_ERF_NEAR = (
+    (3.20937758913846947e03, 3.77485237685302021e02, 1.13864154151050156e02,
+     3.16112374387056560e00, 1.85777706184603153e-1),
+    (2.84423683343917062e03, 1.28261652607737228e03, 2.44024637934444173e02,
+     2.36012909523441209e01),
+)
+_ERFC_MID = (
+    (1.23033935479799725e03, 2.05107837782607147e03, 1.71204761263407058e03,
+     8.81952221241769090e02, 2.98635138197400131e02, 6.61191906371416295e01,
+     8.88314979438837594e00, 5.64188496988670089e-1, 2.15311535474403846e-8),
+    (1.23033935480374942e03, 3.43936767414372164e03, 4.36261909014324716e03,
+     3.29079923573345963e03, 1.62138957456669019e03, 5.37181101862009858e02,
+     1.17693950891312499e02, 1.57449261107098347e01),
+)
+_ERFC_FAR = (
+    (6.58749161529837803e-4, 1.60837851487422766e-2, 1.25781726111229246e-1,
+     3.60344899949804439e-1, 3.05326634961232344e-1, 1.63153871373020978e-2),
+    (2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
+     1.87295284992346725e00, 2.56852019228982242e00),
+)
+_ERF_EDGE, _ERFC_EDGE = 0.5, 4.0
+_ERFC_CAP = 64.0  # erfc is 0.0 past ~27; capping keeps y = inf from making nan
+_SQRT_HALF = math.sqrt(0.5)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _ratio(coeffs, t: np.ndarray) -> np.ndarray:
+    """P(t)/Q(t) by Horner, with Q's implicit leading 1."""
+    num, den = coeffs
+    p = np.full_like(t, num[-1])
+    for c in num[-2::-1]:
+        p = p * t + c
+    q = t + den[-1]
+    for c in den[-2::-1]:
+        q = q * t + c
+    return p / q
+
+
+def _exp_neg_square(y: np.ndarray) -> np.ndarray:
+    """exp(-y^2) as exp(-s^2) exp(-(y-s)(y+s)), s = trunc(16y)/16: s^2 is exact."""
+    s = np.trunc(16.0 * y) / 16.0
+    return np.exp(-s * s) * np.exp(-(y - s) * (y + s))
+
+
+def _erfc_mid(y: np.ndarray) -> np.ndarray:
+    return _exp_neg_square(y) * _ratio(_ERFC_MID, y)
+
+
+def _erfc_far(y: np.ndarray) -> np.ndarray:
+    y = np.minimum(y, _ERFC_CAP)
+    r = 1.0 / (y * y)
+    return _exp_neg_square(y) * (_INV_SQRT_PI - r * _ratio(_ERFC_FAR, r)) / y
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Phi at the ascending samples x, each region on its contiguous slice.
+
+    With z = x/sqrt(2), Phi = 1/2 + erf(z)/2 on |z| <= 0.5, erfc(-z)/2 below
+    and 1 - erfc(z)/2 above.  z is rounded as x * sqrt(1/2), as cephes' ndtr
+    rounds it, so deep in the lower tail the two differ only by erfc's error.
+    """
+    z = x * _SQRT_HALF
+    a, b = np.searchsorted(z, (-_ERFC_EDGE, -_ERF_EDGE), side="left")
+    c, d = np.searchsorted(z, (_ERF_EDGE, _ERFC_EDGE), side="right")
+    out = np.empty_like(z)
+    near = z[b:c]
+    out[b:c] = 0.5 + 0.5 * near * _ratio(_ERF_NEAR, near * near)
+    with np.errstate(under="ignore"):
+        out[:a] = 0.5 * _erfc_far(-z[:a])
+        out[d:] = 1.0 - 0.5 * _erfc_far(z[d:])
+    out[a:b] = 0.5 * _erfc_mid(-z[a:b])
+    out[c:d] = 1.0 - 0.5 * _erfc_mid(z[c:d])
+    return out
 
 
 def ks_two_sample(a: EmpiricalCloud, b: EmpiricalCloud) -> float:
@@ -304,7 +392,7 @@ def fit_growth_values(ns, values) -> VarianceFit:
     """Fit the two-term growth model to explicit (n, value) pairs."""
     ns = np.asarray(ns, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if ns.size < 4 or np.unique(ns).size < 2:
+    if ns.size < 4 or ns.min() == ns.max():
         raise SingularFit("need >= 4 grid points with at least 2 distinct sizes")
     design = np.column_stack([ns * np.log(ns), ns])
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)

@@ -37,10 +37,15 @@ class PoissonizedValue:
     truncation_bound: float
 
 
-def _window(lam: float, N: int, need_shift: int = 0) -> tuple[int, int]:
-    """Summation window of Poisson(lam) on a table of horizon N."""
+def check_rate(lam: float) -> None:
+    """Raise ValueError unless lam is a usable Poisson rate: finite and > 0."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError(f"Poisson rate must be finite and > 0, got {lam}")
+
+
+def _window(lam: float, N: int, need_shift: int = 0) -> tuple[int, int]:
+    """Summation window of Poisson(lam) on a table of horizon N."""
+    check_rate(lam)
     spread = 12.0 * math.sqrt(lam) + 12.0
     hi = math.ceil(lam + spread)
     if hi + need_shift > N:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 import trielab
+import trielab.cli
 from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, schema_for
 
 CHAIN = ["--p00", "0.6", "--p11", "0.7"]
@@ -137,7 +142,7 @@ def test_poisson_check_horizon_error(capsys):
     assert "numeric error" in err
 
 
-def test_poisson_check_rejects_bad_rates(capsys):
+def test_poisson_check_rejects_bad_rates(capsys, monkeypatch):
     for lambdas, message in (("inf", "finite and > 0"), ("nan", "finite and > 0"),
                              (",", "at least one rate")):
         code, out, err = run(capsys, "poisson-check", *CHAIN,
@@ -145,6 +150,18 @@ def test_poisson_check_rejects_bad_rates(capsys):
         assert code == EXIT_USAGE
         assert out == ""
         assert message in err
+
+    # a bad rate is rejected before the moment table is built
+    def no_table(*args):
+        raise AssertionError("moment table built for a bad rate")
+
+    monkeypatch.setattr(trielab.cli, "compute_moment_table", no_table)
+    for lambdas in ("inf", "5,nan"):
+        code, out, err = run(capsys, "poisson-check", *CHAIN,
+                             "--lambdas", lambdas, "--n-max", "32768")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "finite and > 0" in err
 
 
 def test_simulate_json_and_samples(tmp_path, capsys):
@@ -256,3 +273,30 @@ def test_verify_quick_symmetric_skips(capsys):
     assert report["passed"] is True
     assert [item["name"] for item in report["items"]] == [
         "spectral", "mean", "poisson", "variance_fit", "clt_ks", "contraction"]
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    # scipy is a test dependency only: no subcommand may load any part of it
+    argvs = [
+        ["analyze", *CHAIN],
+        ["oracle", *CHAIN, "--n-max", "32", "--out", str(tmp_path / "oracle.csv")],
+        ["poisson-check", *CHAIN, "--lambdas", "5,20", "--n-max", "128"],
+        ["simulate", *CHAIN, "--n", "64", "--m", "300", "--seed", "5"],
+        ["contraction", *CHAIN, "--iters", "2", "--m", "2000", "--seed", "1"],
+        ["trie-stats", *CHAIN, "--n", "500", "--seed", "3"],
+        ["verify", *CHAIN, "--budget", "quick"],
+    ]
+    assert [argv[0] for argv in argvs] == list(SUBCOMMANDS)
+    script = f"""
+import contextlib, io, sys
+from trielab.cli import main
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+    src = Path(trielab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from trielab.clt_harness import (
+    _POISSON_SIZE_SALT,
+    _normal_cdf,
     BadScale,
     EmptyCloud,
     EmpiricalCloud,
@@ -23,7 +25,7 @@ from trielab.clt_harness import (
     uniform_cloud,
 )
 from trielab.exact_moments import mean_for_initial
-from trielab.markov_source import MarkovChain
+from trielab.markov_source import MarkovChain, stream_seeds, uniform_block
 from trielab.spectral import sigma_squared
 
 
@@ -111,6 +113,11 @@ def test_poisson_sizes_follow_poisson_law():
         ks = np.arange(sizes.max() + 1)
         ecdf = np.cumsum(np.bincount(sizes)) / m
         assert np.max(np.abs(ecdf - stats.poisson.cdf(ks, lam))) <= 2.0 / math.sqrt(m)
+        # draw for draw the same sizes as inverting scipy's Poisson CDF
+        top = math.ceil(lam + 12.0 * math.sqrt(lam) + 12.0)
+        u = uniform_block(stream_seeds(5, _POISSON_SIZE_SALT), 0, m)
+        cdf = special.pdtr(np.arange(top + 1), lam)
+        assert np.array_equal(sizes, np.searchsorted(cdf, u, side="right"))
     assert (poisson_sizes(3.5, m, 5) != poisson_sizes(3.5, m, 6)).any()
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -146,6 +153,19 @@ def test_ks_distance_known_cases():
     d = ks_distance(EmpiricalCloud(x))
     assert d <= 0.0017
     assert d == pytest.approx(stats.kstest(x, "norm").statistic, abs=1e-12)
+
+
+def test_normal_cdf_matches_scipy():
+    x = np.sort(np.concatenate([
+        np.linspace(-38.0, 9.0, 470_001),
+        np.random.default_rng(17).standard_normal(100_000),
+    ]))
+    got, ref = _normal_cdf(x), special.ndtr(x)
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    normal = ref >= 1e-300
+    assert np.max(np.abs(got[normal] - ref[normal]) / ref[normal]) <= 1e-13
+    edges = _normal_cdf(np.array([-np.inf, 0.0, np.inf]))
+    assert edges.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_ks_two_sample(chain67):
