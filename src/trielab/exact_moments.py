@@ -100,7 +100,7 @@ def binomial_window(
     return lo + first, w
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentTable:
     """nu and var rows are indexed [i][n] for initial state i and size n."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,16 +7,42 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import trielab
 import trielab.cli
 from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, schema_for
+from trielab.exact_moments import compute_moment_table
+from trielab.markov_source import MarkovChain
 
 CHAIN = ["--p00", "0.6", "--p11", "0.7"]
 SUBCOMMANDS = ("analyze", "oracle", "poisson-check", "simulate",
                "contraction", "trie-stats", "verify")
 ENVELOPE = ["manifest", "generated", "chain"]
+
+
+@pytest.fixture(autouse=True)
+def empty_table_cache():
+    """Every test starts and ends with no moment table cached in the CLI, so
+    results do not depend on test order and a test that patches the builder
+    cannot be served a table left by an earlier test."""
+    trielab.cli._cached_table = None
+    yield
+    trielab.cli._cached_table = None
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(chain, N) of every moment table the CLI builds, in call order."""
+    calls = []
+
+    def counting(chain, N):
+        calls.append((chain, N))
+        return compute_moment_table(chain, N)
+
+    monkeypatch.setattr(trielab.cli, "compute_moment_table", counting)
+    return calls
 
 
 def run(capsys, *argv):
@@ -162,6 +189,60 @@ def test_poisson_check_rejects_bad_rates(capsys, monkeypatch):
         assert code == EXIT_USAGE
         assert out == ""
         assert "finite and > 0" in err
+
+
+def test_table_built_once_and_served_as_read_only_prefix(capsys, builds, chain67, table67):
+    big = ("oracle", *CHAIN, "--n-max", "32768")
+    assert run(capsys, *big)[0] == EXIT_OK
+    assert builds == [(chain67, 32768)]
+    # every other table site is served from the cached 32768 table
+    for argv in (("poisson-check", *CHAIN, "--n-max", "8192"),
+                 ("simulate", *CHAIN, "--n", "64", "--m", "50", "--threads", "1"),
+                 ("verify", *CHAIN, "--budget", "quick", "--threads", "1"), big):
+        assert run(capsys, *argv)[0] == EXIT_OK, argv
+    assert len(builds) == 1
+
+    prefix = trielab.cli._table(chain67, 8192)
+    assert prefix.N == 8192
+    assert np.array_equal(prefix.nu, table67.nu)
+    assert np.array_equal(prefix.var, table67.var)
+    for arr in (prefix.nu, prefix.var, trielab.cli._table(chain67, 32768).nu):
+        with pytest.raises(ValueError):
+            arr[0, 5] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prefix.N = 32768
+    # the served horizon, not the cached one, bounds the Poisson window
+    code, _, err = run(capsys, "poisson-check", *CHAIN, "--n-max", "100",
+                       "--lambdas", "1000")
+    assert code == EXIT_NUMERIC
+    assert "have 100" in err
+    assert len(builds) == 1
+    # the builder itself still hands out writeable arrays
+    fresh = compute_moment_table(chain67, 16)
+    assert fresh.nu.flags.writeable and fresh.var.flags.writeable
+
+
+def test_table_rebuilt_for_other_chain_or_longer_horizon(capsys, builds):
+    requests = [
+        ((), "64"),
+        ((), "32"),  # prefix of the cached table
+        (("--mu0", "0.3"), "32"),  # mu0 enters table.chain, so it is a new chain
+        (("--mu0", "0.3"), "64"),
+        (("--mu0", "0.3", "--p11", "0.71"), "64"),
+        (("--mu0", "0.3", "--p11", "0.71"), "128"),  # longer than the cached table
+        (("--mu0", "0.3", "--p11", "0.71"), "64"),
+    ]
+    for extra, n_max in requests:
+        code, _, _ = run(capsys, "oracle", *CHAIN, *extra, "--n-max", n_max)
+        assert code == EXIT_OK
+    assert builds == [(MarkovChain(0.5, 0.6, 0.7), 64), (MarkovChain(0.3, 0.6, 0.7), 32),
+                      (MarkovChain(0.3, 0.6, 0.7), 64), (MarkovChain(0.3, 0.6, 0.71), 64),
+                      (MarkovChain(0.3, 0.6, 0.71), 128)]
+    # a negative horizon still reaches the builder, which rejects it
+    code, _, err = run(capsys, "oracle", *CHAIN, "--mu0", "0.3", "--p11", "0.71",
+                       "--n-max", "-1")
+    assert code == EXIT_USAGE
+    assert "horizon must be >= 0" in err
 
 
 def test_simulate_json_and_samples(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trielab.markov_source import MarkovChain, SymmetricChain, entropy_rate
+from trielab.markov_source import PROB_FLOOR, MarkovChain, SymmetricChain, entropy_rate
 from trielab.spectral import (
     BadExponent,
     contraction_factor,
@@ -191,3 +192,19 @@ def test_second_derivative_step_halving_stability():
     a = _richardson3(f, -1.0, base, "second")
     b = _richardson3(f, -1.0, base / 2, "second")
     assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+
+
+EDGE_PROBS = [PROB_FLOOR, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - PROB_FLOOR]
+
+
+# every pair but the symmetric chain, whose variance constant degenerates
+@pytest.mark.parametrize("p00, p11", [(a, b) for a in EDGE_PROBS for b in EDGE_PROBS
+                                      if not a == b == 0.5])
+def test_spectral_constants_finite_at_edge_chains(p00, p11):
+    # transition probabilities as close to 0 or 1 as a chain may come; the
+    # two sigma^2 forms are only held to finite and > 0 here
+    chain = MarkovChain(0.5, p00, p11)
+    consts = spectral_constants(chain)
+    values = [getattr(consts, f.name) for f in dataclasses.fields(consts) if f.name != "chain"]
+    assert all(math.isfinite(v) and v > 0.0 for v in values), values
+    assert all(math.isfinite(v) and v > 0.0 for v in sigma_squared(chain))
