@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trielab.markov_source import (
+    PROB_FLOOR,
     BitStream,
     MarkovChain,
     _mix64,
@@ -20,6 +21,7 @@ from trielab.markov_source import (
     uniform_block,
     uniforms_at,
 )
+from trielab.trie import batch_external_path_lengths
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -197,3 +199,68 @@ def test_distinct_streams_decorrelated():
     streams = generate_strings(chain, 200, 1)
     firsts = [tuple(s.prefix(64)) for s in streams]
     assert len(set(firsts)) == 200
+
+
+# Values recorded from the generator before its rules were merged into one
+# implementation each; any change to the mixer, the keyed seed, the uniform
+# draw or the bit rule moves some of them.
+_PINNED_INDICES = (0, 3, 2**40)
+_PINNED_STREAM_SEEDS = {  # seed -> stream_seeds(seed, i) for i in _PINNED_INDICES
+    0: (0x4e96155e5f0a1c3f, 0x528b2b5e86ce6a12, 0xaeff1a0f152cbcad),
+    -1: (0x30fd83b93808e770, 0xc342e50d4655db37, 0x7d785fda38579084),
+    2**64 - 1: (0x30fd83b93808e770, 0xc342e50d4655db37, 0x7d785fda38579084),
+    20240817: (0x9b2cfb873a4c030a, 0x215c25b2d4fb1091, 0x8ed3014685044e99),
+}
+_PINNED_REPLICATE_SEEDS = {  # seed -> replicate_seed(seed, i) for i in _PINNED_INDICES
+    0: (0x8095aa2a28800d7a, 0x33ba01350ac7dc14, 0xfe8528e1aa1c8520),
+    -1: (0xbb762878dfea595f, 0xa5842498ac87e5cd, 0x81b4f80334d0b764),
+    2**64 - 1: (0xbb762878dfea595f, 0xa5842498ac87e5cd, 0x81b4f80334d0b764),
+    20240817: (0x54dff177f84476cc, 0x4548878ad704f8b6, 0x56257a882452378b),
+}
+_PINNED_UNIFORMS = {  # position -> uniforms_at(stream_seeds(20240817, _PINNED_INDICES), position)
+    0: ('0x1.4bf76bf5c8271p-1', '0x1.b26d229cb631cp-2', '0x1.e1d425b1738ecp-3'),
+    1: ('0x1.c878f697ada36p-2', '0x1.3b7e3e4fd30aap-1', '0x1.8b2f3e87caa24p-3'),
+    10**6: ('0x1.4ff8534dbf840p-3', '0x1.b0a5a046ab732p-1', '0x1.4be1fdd0f9bdbp-1'),
+}
+_PINNED_BITS = {  # (mu0, p00, p11, forced) -> first 64 bits of streams 0..2 of seed 20240817
+    (0.5, 0.6, 0.7, None): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0x7dc407c58c3f03ef),
+    (0.5, 0.6, 0.7, 0): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
+    (0.5, 0.6, 0.7, 1): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
+    (0.0, 0.6, 0.7, None): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
+    (0.0, 0.6, 0.7, 0): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
+    (0.0, 0.6, 0.7, 1): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
+    (1.0, 0.6, 0.7, None): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
+    (1.0, 0.6, 0.7, 0): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
+    (1.0, 0.6, 0.7, 1): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
+    (0.0, PROB_FLOOR, 0.5, None): (0xbebbaaaeabefaad7, 0xb557aeb55555db57, 0xfdd55555ad7abfdf),
+    (0.0, PROB_FLOOR, 0.5, 0): (0x7ebbaaaeabefaad7, 0x7557aeb55555db57, 0x7dd55555ad7abfdf),
+    (0.0, PROB_FLOOR, 0.5, 1): (0xbebbaaaeabefaad7, 0xb557aeb55555db57, 0xfdd55555ad7abfdf),
+    (1.0, PROB_FLOOR, 0.5, None): (0x7ebbaaaeabefaad7, 0x7557aeb55555db57, 0x7dd55555ad7abfdf),
+    (1.0, PROB_FLOOR, 0.5, 0): (0x7ebbaaaeabefaad7, 0x7557aeb55555db57, 0x7dd55555ad7abfdf),
+    (1.0, PROB_FLOOR, 0.5, 1): (0xbebbaaaeabefaad7, 0xb557aeb55555db57, 0xfdd55555ad7abfdf),
+}
+_PINNED_EPLS = {  # forced -> EPLs of tries over 2, 100, 2048 streams on chain (0.5, 0.6, 0.7)
+    None: (8, 822, 27497),
+    0: (12, 926, 29412),
+    1: (8, 922, 29923),
+}
+
+
+def test_streams_match_pinned_values():
+    for seed, words in _PINNED_STREAM_SEEDS.items():
+        assert tuple(stream_seeds(seed, i) for i in _PINNED_INDICES) == words
+        assert tuple(int(s) for s in stream_seeds(seed, np.array(_PINNED_INDICES))) == words
+    for seed, words in _PINNED_REPLICATE_SEEDS.items():
+        assert tuple(replicate_seed(seed, i) for i in _PINNED_INDICES) == words
+    subs = stream_seeds(20240817, np.array(_PINNED_INDICES))
+    for position, values in _PINNED_UNIFORMS.items():
+        assert [float(u).hex() for u in uniforms_at(subs, position)] == list(values)
+    for (mu0, p00, p11, forced), words in _PINNED_BITS.items():
+        streams = generate_strings(MarkovChain(mu0, p00, p11), 3, 20240817, forced)
+        assert tuple(int("".join(map(str, s.prefix(64))), 2) for s in streams) == words
+    seeds = replicate_seeds(20240817, np.arange(3))
+    for forced, epls in _PINNED_EPLS.items():
+        got = batch_external_path_lengths(
+            MarkovChain(0.5, 0.6, 0.7), np.array([2, 100, 2048]), seeds, forced_initial=forced
+        )
+        assert tuple(got.tolist()) == epls
