@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from trielab.exact_moments import MomentTable, mean_for_initial, variance_for_initial
-from trielab.markov_source import MarkovChain, replicate_seeds, stream_seeds, uniform_block
+from trielab.markov_source import MarkovChain, replicate_seeds, stream_seeds, uniforms_at
 from trielab.poisson_analysis import _weights
 from trielab.trie import DepthExceeded, batch_external_path_lengths
 
@@ -218,7 +218,7 @@ def poisson_sizes(lam: float, m: int, seed: int) -> np.ndarray:
     if lam == 0.0:
         return np.zeros(m, dtype=np.intp)
     top = math.ceil(lam + 12.0 * math.sqrt(lam) + 12.0)
-    u = uniform_block(stream_seeds(seed, _POISSON_SIZE_SALT), 0, m)
+    u = uniforms_at(stream_seeds(seed, _POISSON_SIZE_SALT), np.arange(m))
     return np.searchsorted(np.cumsum(_weights(lam, 0, top)), u, side="right")
 
 
@@ -367,7 +367,7 @@ def apply_T(
         raise EmptyCloud("both clouds must be nonempty")
 
     def draws(salt: int, count: int, source: np.ndarray) -> np.ndarray:
-        u = uniform_block(stream_seeds(seed, salt), 0, count)
+        u = uniforms_at(stream_seeds(seed, salt), np.arange(count))
         return source[(u * source.size).astype(np.int64)]
 
     out0 = math.sqrt(chain.p00) * draws(0, cloud0.size, cloud0.samples) + math.sqrt(
@@ -411,7 +411,7 @@ def fit_variance_growth(table: MomentTable, grid) -> VarianceFit:
     return fit_growth_values(grid, values)
 
 
-def uniform_cloud(m: int, seed: int, salt: int = 100) -> EmpiricalCloud:
+def uniform_cloud(m: int, seed: int) -> EmpiricalCloud:
     """Standardized uniform samples (mean 0, variance 1), counter seeded."""
-    u = uniform_block(stream_seeds(seed, salt), 0, m)
+    u = uniforms_at(stream_seeds(seed, 100), np.arange(m))
     return EmpiricalCloud((u - 0.5) * math.sqrt(12.0))

@@ -103,17 +103,15 @@ def entropy_rate(chain: MarkovChain) -> tuple[float, float, float]:
 
 # --- counter-based randomness -------------------------------------------------
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, vectorized over uint64 (wraparound intended)."""
-    return _mix64_inplace(np.array(x, dtype=np.uint64))
+def _mix64(z: np.ndarray | int) -> np.ndarray:
+    """SplitMix64 finalizer over uint64 (wraparound intended).
 
-
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """`_mix64` that overwrites `z` if it is a uint64 array (a scalar gets a 0-d copy).
-
-    One scratch buffer serves all three shifts.
+    A uint64 array is mixed in place; anything else is first copied into a
+    fresh, possibly 0-d, uint64 array, so the wraparound stays silent (numpy
+    scalar arithmetic would warn).  One scratch buffer serves all three shifts.
     """
-    z = np.asarray(z, dtype=np.uint64)
+    if not (isinstance(z, np.ndarray) and z.dtype == np.uint64):
+        z = np.array(z, dtype=np.uint64)
     tmp = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(0xBF58476D1CE4E5B9)
@@ -123,118 +121,79 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mix64_int(x: int) -> int:
-    """SplitMix64 finalizer on a plain Python int (mod 2^64)."""
-    z = x & _MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def _keyed(seed: int | np.ndarray, indices: int | np.ndarray, salt: int) -> np.ndarray | int:
+    """mix(seed ^ mix((i + 1) * salt)) mod 2^64 for each index i; injective in i.
 
-
-def _salted(indices: np.ndarray | int, salt: int) -> np.ndarray:
-    """(indices + 1) * salt mod 2^64 on a fresh uint64 array.
-
-    Updated in place, a 0-d array stays an array, so the wraparound is as
-    silent as for longer arrays (numpy scalar arithmetic would warn).
+    Seeds and indices broadcast; a scalar seed is reduced mod 2^64, so negative
+    seeds are allowed.  Two scalars give a Python int.
     """
-    out = np.array(indices, dtype=np.uint64)
-    out += np.uint64(1)
-    out *= np.uint64(salt)
-    return out
-
-
-def stream_seeds(
-    seed: int | np.ndarray, indices: np.ndarray | int
-) -> np.ndarray | int:
-    """Per-stream sub-seed = mix(seed, stream index); injective in the index.
-
-    `seed` may be an array (one seed per index entry); shapes broadcast.
-    """
-    if np.isscalar(seed) and np.isscalar(indices):
-        return _mix64_int(
-            (int(seed) & _MASK64) ^ _mix64_int((int(indices) + 1) * _STREAM_SALT)
-        )
-    salted = _salted(indices, _STREAM_SALT)
+    key = np.array(indices, dtype=np.uint64)
+    key += np.uint64(1)
+    key *= np.uint64(salt)
     if np.isscalar(seed):
-        base = np.uint64(int(seed) & _MASK64)
-    else:
-        base = np.asarray(seed, dtype=np.uint64)
-    return _mix64_inplace(base ^ _mix64_inplace(salted))
+        seed = np.uint64(int(seed) & _MASK64)
+    key = _mix64(np.asarray(seed, dtype=np.uint64) ^ _mix64(key))
+    return key if key.ndim else int(key)
+
+
+def stream_seeds(seed: int | np.ndarray, indices: int | np.ndarray) -> np.ndarray | int:
+    """Per-stream sub-seed = mix(seed, stream index); seeds and indices broadcast."""
+    return _keyed(seed, indices, _STREAM_SALT)
 
 
 def replicate_seed(seed: int, replicate: int) -> int:
     """Sub-seed for one Monte Carlo replicate; feeds `stream_seeds` below it."""
-    return _mix64_int((seed & _MASK64) ^ _mix64_int((replicate + 1) * _REPLICATE_SALT))
+    return _keyed(seed, replicate, _REPLICATE_SALT)
 
 
 def replicate_seeds(seed: int, replicates: np.ndarray) -> np.ndarray:
-    salted = _salted(replicates, _REPLICATE_SALT)
-    return _mix64_inplace(np.uint64(seed & _MASK64) ^ _mix64_inplace(salted))
+    return _keyed(seed, replicates, _REPLICATE_SALT)
 
 
-def uniforms_at(sub_seeds: np.ndarray, position: int) -> np.ndarray:
-    """Uniform(0,1) driving bit `position` of each stream, as a pure function."""
-    t = np.uint64((position * _GOLDEN) & _MASK64)
-    u64 = _mix64_inplace(np.asarray(sub_seeds, dtype=np.uint64) + t)
-    u64 >>= np.uint64(11)
-    return u64 * 2.0**-53
+def uniforms_at(sub_seeds: int | np.ndarray, positions: int | np.ndarray) -> np.ndarray:
+    """Uniform in [0, 1 - 2^-53] driving bit `positions` of stream `sub_seeds`.
 
-
-def uniform_block(sub_seed: int, start: int, stop: int) -> np.ndarray:
-    """Uniforms for positions start..stop-1 of a single stream."""
-    t = (np.arange(start, stop, dtype=np.uint64) * np.uint64(_GOLDEN)) + np.uint64(
-        sub_seed & _MASK64
-    )
-    u64 = _mix64_inplace(t)
-    u64 >>= np.uint64(11)
-    return u64 * 2.0**-53
-
-
-def next_bits(
-    chain: MarkovChain,
-    uniforms: np.ndarray,
-    states: np.ndarray | None,
-    forced_initial: int | None = None,
-) -> np.ndarray:
-    """Map one column of uniforms to bits, vectorized across streams.
-
-    `states is None` marks the first position: the bit follows the initial
-    distribution (or `forced_initial`).  Later positions draw from the
-    transition row of the previous bit.
+    A pure function of (sub-seed, position); the arguments broadcast, so one
+    call serves many streams at one position or one stream at many positions.
     """
-    if states is None:
-        if forced_initial is not None:
-            return np.full(uniforms.shape, forced_initial, dtype=np.int8)
-        return (uniforms >= chain.mu0).astype(np.int8)
-    prob0 = np.array([chain.p00, chain.p10])[states]
-    return (uniforms >= prob0).astype(np.int8)
+    z = np.array(positions, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    u64 = _mix64(z + np.asarray(sub_seeds, dtype=np.uint64))
+    u64 >>= np.uint64(11)
+    return u64 * 2.0**-53
+
+
+START = 2  # bit-rule state before the first bit
+
+
+def bit_thresholds(chain: MarkovChain, forced_initial: int | None) -> list[float]:
+    """The Markov bit rule as thresholds [p00, p10, first].
+
+    The bit driven by uniform u is `u >= thresholds[state]`, where `state` is
+    the previous bit, or START before the first bit.  `first` is mu0, or
+    1 - forced for a forced first bit: uniforms lie in [0, 1 - 2^-53], so the
+    threshold 1.0 always gives 0 and 0.0 always gives 1.
+    """
+    if forced_initial not in (None, 0, 1):
+        raise ValueError("forced_initial must be None, 0 or 1")
+    first = chain.mu0 if forced_initial is None else 1.0 - forced_initial
+    return [chain.p00, chain.p10, first]
 
 
 class BitStream:
-    """Lazily extended bit string of one Markov-source stream.
+    """Lazily extended bit string of the stream keyed by `sub_seed`.
 
-    Re-creating a stream with the same (chain, seed, index, forced_initial)
+    Re-creating a stream with the same (chain, sub_seed, forced_initial)
     reproduces the identical bit sequence; bits are cached so positions can be
     revisited.  `state` is the last emitted symbol, `emitted` the number of
     bits produced so far.
     """
 
-    __slots__ = ("chain", "seed", "index", "forced_initial", "_sub_seed", "_bits")
+    __slots__ = ("sub_seed", "_thresholds", "_bits")
 
-    def __init__(
-        self,
-        chain: MarkovChain,
-        seed: int,
-        index: int,
-        forced_initial: int | None = None,
-    ):
-        if forced_initial not in (None, 0, 1):
-            raise ValueError("forced_initial must be None, 0 or 1")
-        self.chain = chain
-        self.seed = seed
-        self.index = index
-        self.forced_initial = forced_initial
-        self._sub_seed = stream_seeds(seed, index)
+    def __init__(self, chain: MarkovChain, sub_seed: int, forced_initial: int | None = None):
+        self.sub_seed = sub_seed
+        self._thresholds = bit_thresholds(chain, forced_initial)
         self._bits: list[int] = []
 
     @property
@@ -250,21 +209,11 @@ class BitStream:
         if length <= start:
             return
         stop = max(length, 2 * start, 16)
-        u = uniform_block(self._sub_seed, start, stop)
-        bits = self._bits
-        chain = self.chain
-        state = bits[-1] if bits else None
-        for t in range(stop - start):
-            if state is None:
-                if self.forced_initial is not None:
-                    b = self.forced_initial
-                else:
-                    b = 0 if u[t] < chain.mu0 else 1
-            else:
-                prob0 = chain.p00 if state == 0 else chain.p10
-                b = 0 if u[t] < prob0 else 1
-            bits.append(b)
-            state = b
+        bits, thresholds = self._bits, self._thresholds
+        state = bits[-1] if bits else START
+        for u in uniforms_at(self.sub_seed, np.arange(start, stop)).tolist():
+            state = int(u >= thresholds[state])
+            bits.append(state)
 
     def bit(self, position: int) -> int:
         """Bit at `position` (0-based), generating as far as needed."""
@@ -283,11 +232,12 @@ def generate_strings(
     seed: int,
     forced_initial: int | None = None,
 ) -> list[BitStream]:
-    """n independent streams; stream j depends only on (seed, j).
+    """n independent streams; stream j is keyed by `stream_seeds(seed, j)`.
 
     With `forced_initial` set, every first bit equals it, which models the
     degenerate initial distributions used by the per-symbol path lengths.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [BitStream(chain, seed, j, forced_initial) for j in range(n)]
+    subs = stream_seeds(seed, np.arange(n)).tolist()
+    return [BitStream(chain, sub, forced_initial) for sub in subs]

@@ -21,13 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from trielab.markov_source import (
+    START,
     BitStream,
     MarkovChain,
+    bit_thresholds,
     generate_strings,
-    next_bits,
     stream_seeds,
     uniforms_at,
 )
+
+# Replicates are processed in chunks of at most this many strings (a single
+# larger replicate forms its own chunk).  Each level makes a handful of passes
+# over per-string arrays of 8 bytes a string, and at 2**16 strings (512 KiB an
+# array) they stay in a 2 MiB L2 cache between passes.  Chunks of 2**20
+# strings and more stream every pass through main memory and cost about 1.4
+# times as much per string (n = 2048 on a 2-core Xeon); the chunk also bounds
+# the kernel's memory to a few MB whatever the total.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class DepthExceeded(RuntimeError):
@@ -121,22 +131,14 @@ def batch_external_path_lengths(
     sizes: np.ndarray,
     rep_seeds: np.ndarray,
     forced_initial: int | None = None,
-    max_depth: int | None = None,
-    chunk_elements: int = 1 << 16,
 ) -> np.ndarray:
     """EPL of one fresh trie per replicate, fully vectorized across replicates.
 
     Replicate r holds `sizes[r]` streams seeded from `rep_seeds[r]`; stream j
-    of that replicate reproduces exactly what BitStream(chain, rep_seeds[r], j)
-    would emit, so this kernel and `build_trie` are interchangeable routes to
-    the same numbers.  Replicates are processed in chunks of at most
-    `chunk_elements` strings (a single larger replicate forms its own chunk).
-    The default is cache-sized: each level makes a handful of passes over
-    per-string arrays of 8 bytes a string, and at 2**16 strings (512 KiB an
-    array) they stay in a 2 MiB L2 cache between passes.  Chunks of 2**20
-    strings and more stream every pass through main memory and cost about
-    1.4 times as much per string (n = 2048 on a 2-core Xeon); the chunk also
-    bounds the kernel's memory to a few MB whatever the total.
+    of that replicate reproduces exactly what
+    BitStream(chain, stream_seeds(rep_seeds[r], j)) would emit, so this kernel
+    and `build_trie` are interchangeable routes to the same numbers, with the
+    same depth cap `default_max_depth` of the largest size.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     rep_seeds = np.asarray(rep_seeds, dtype=np.uint64)
@@ -144,14 +146,13 @@ def batch_external_path_lengths(
         raise ValueError("sizes and rep_seeds must have matching shapes")
     if (sizes < 0).any():
         raise ValueError("sizes must be >= 0")
-    if max_depth is None:
-        max_depth = default_max_depth(int(sizes.max(initial=0)))
+    max_depth = default_max_depth(int(sizes.max(initial=0)))
     total = np.zeros(len(sizes), dtype=np.int64)
     start = 0
     while start < len(sizes):
         stop = start + 1
         load = int(sizes[start])
-        while stop < len(sizes) and load + int(sizes[stop]) <= chunk_elements:
+        while stop < len(sizes) and load + int(sizes[stop]) <= _CHUNK_ELEMENTS:
             load += int(sizes[stop])
             stop += 1
         _epl_chunk(
@@ -178,8 +179,9 @@ def _epl_chunk(
 ) -> None:
     # Per string only its sub-seed and group id `key` are carried.  Groups
     # hold >= 2 strings; group g belongs to replicate grep[g], has gsize[g]
-    # members and was entered on bit gstate[g].  Group ids are ranks of
-    # key*2 + bit, so they stay sorted by replicate.
+    # members and was entered on bit gstate[g] (START for the root groups).
+    # Group ids are ranks of key*2 + bit, so they stay sorted by replicate.
+    thresholds = np.array(bit_thresholds(chain, forced_initial))
     reps = len(sizes)
     m = int(sizes.sum())
     rep = np.repeat(np.arange(reps, dtype=np.int64), sizes)
@@ -193,7 +195,7 @@ def _epl_chunk(
     keep = sizes[rep] >= 2
     sub, key = sub[keep], lookup[rep[keep]]
     del rep
-    gstate: np.ndarray | None = None
+    gstate = np.full(grep.size, START)
     depth = 0
     while sub.size:
         if depth >= max_depth:
@@ -204,8 +206,7 @@ def _epl_chunk(
             )
         # everyone left shares a group, so everyone consumes one symbol here
         out += np.bincount(grep, weights=gsize, minlength=reps).astype(np.int64)
-        state = None if gstate is None else gstate[key]
-        bit = next_bits(chain, uniforms_at(sub, depth), state, forced_initial)
+        bit = uniforms_at(sub, depth) >= thresholds[gstate][key]
         pair = key * 2 + bit
         counts = np.bincount(pair, minlength=2 * grep.size)
         alive = np.nonzero(counts >= 2)[0]

@@ -25,7 +25,7 @@ from trielab.clt_harness import (
     uniform_cloud,
 )
 from trielab.exact_moments import mean_for_initial
-from trielab.markov_source import MarkovChain, stream_seeds, uniform_block
+from trielab.markov_source import PROB_FLOOR, MarkovChain, stream_seeds, uniforms_at
 from trielab.spectral import sigma_squared
 
 
@@ -78,6 +78,28 @@ def test_trivial_sizes_give_zero(chain67):
         assert (cloud.samples == 0.0).all()
 
 
+def test_degenerate_mu_matches_forced_first_bit():
+    # with mu0 in {0, 1} the initial law is a point mass, so "mu" draws the very
+    # streams that forcing the first bit draws, replicate for replicate
+    for mu0, forced in ((0.0, "delta1"), (1.0, "delta0")):
+        for p00, p11 in ((0.6, 0.7), (PROB_FLOOR, 0.5)):
+            chain = MarkovChain(mu0, p00, p11)
+            mu = simulate_epl(SimulationConfig(chain, 64, 50, 17), threads=1)
+            delta = simulate_epl(SimulationConfig(chain, 64, 50, 17, initial=forced), threads=1)
+            assert np.array_equal(mu.samples, delta.samples)
+
+
+def test_forced_clouds_match_oracle(chain67, table67):
+    # the oracle's per-state rows are the laws of the delta0 and delta1 clouds;
+    # sizes, replicates, seed and the 4-sigma bound were fixed before running
+    m = 8000
+    for i, initial in enumerate(("delta0", "delta1")):
+        for n in (16, 128):
+            cloud = simulate_epl(SimulationConfig(chain67, n, m, 31, initial=initial))
+            se = math.sqrt(table67.var[i][n] / m)
+            assert abs(cloud.mean() - table67.nu[i][n]) <= 4.0 * se
+
+
 def test_two_string_mean_fair_chain():
     # forcing both initial states equal, the pair shares Geometric(1/2) >= 1
     # levels before splitting: shifted length 2 Geom, mean 4, variance 8.
@@ -115,7 +137,7 @@ def test_poisson_sizes_follow_poisson_law():
         assert np.max(np.abs(ecdf - stats.poisson.cdf(ks, lam))) <= 2.0 / math.sqrt(m)
         # draw for draw the same sizes as inverting scipy's Poisson CDF
         top = math.ceil(lam + 12.0 * math.sqrt(lam) + 12.0)
-        u = uniform_block(stream_seeds(5, _POISSON_SIZE_SALT), 0, m)
+        u = uniforms_at(stream_seeds(5, _POISSON_SIZE_SALT), np.arange(m))
         cdf = special.pdtr(np.arange(top + 1), lam)
         assert np.array_equal(sizes, np.searchsorted(cdf, u, side="right"))
     assert (poisson_sizes(3.5, m, 5) != poisson_sizes(3.5, m, 6)).any()
@@ -261,7 +283,7 @@ def test_uniform_cloud_shape():
     assert abs(cloud.mean()) <= 4.0 / math.sqrt(m)
     assert abs(cloud.variance() - 1.0) <= 8.0 / math.sqrt(m)
     assert (cloud.samples == uniform_cloud(m, 4242).samples).all()
-    assert (cloud.samples != uniform_cloud(m, 4242, salt=101).samples).any()
+    assert (cloud.samples != uniform_cloud(m, 4243).samples).any()
 
 
 def test_summary_flags():

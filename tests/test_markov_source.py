@@ -8,20 +8,22 @@ from hypothesis import strategies as st
 
 from trielab.markov_source import (
     PROB_FLOOR,
+    START,
     BitStream,
     MarkovChain,
     _mix64,
-    _mix64_int,
+    bit_thresholds,
     entropy_rate,
     generate_strings,
     replicate_seed,
     replicate_seeds,
     stationary_distribution,
     stream_seeds,
-    uniform_block,
     uniforms_at,
 )
 from trielab.trie import batch_external_path_lengths
+
+_MASK64 = (1 << 64) - 1
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -77,6 +79,14 @@ def test_entropy_fair_chain():
     assert H0 == H1
 
 
+def _mix64_int(x: int) -> int:
+    """Reference SplitMix64 finalizer on a plain Python int (mod 2^64)."""
+    z = x & _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
 def test_mixer_reference_vector():
     # first output of the standard 64-bit split-mix generator seeded at 0
     assert _mix64_int(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
@@ -94,14 +104,16 @@ def test_mixer_no_trivial_collisions():
 
 
 def test_mixing_leaves_inputs_untouched():
-    # the mixer works in place on its own temporaries, never on the caller's arrays
+    # the mixer works in place on the uint64 array it is given; the seed and
+    # uniform functions hand it their own temporaries, never the caller's arrays
     x = np.arange(1000, dtype=np.uint64) * np.uint64(7919)
     seeds = replicate_seeds(4, np.arange(1000))
     before_x, before_seeds = x.copy(), seeds.copy()
-    mixed = _mix64(x)
+    mixed = _mix64(x.copy())
     assert (mixed == np.array([_mix64_int(int(v)) for v in x], dtype=np.uint64)).all()
     stream_seeds(seeds, x)
     uniforms_at(seeds, 3)
+    uniforms_at(seeds[0], x)
     assert (x == before_x).all() and (seeds == before_seeds).all()
 
 
@@ -139,7 +151,7 @@ def test_replicate_seed_scalar_matches_array():
 
 def test_uniform_block_range_and_consistency():
     sub = stream_seeds(7, 3)
-    u = uniform_block(sub, 0, 4096)
+    u = uniforms_at(sub, np.arange(4096))
     assert u.shape == (4096,)
     assert (u >= 0.0).all() and (u < 1.0).all()
     assert 0.45 <= u.mean() <= 0.55
@@ -147,19 +159,19 @@ def test_uniform_block_range_and_consistency():
     subs = np.array([sub, sub], dtype=np.uint64)
     at = uniforms_at(subs, 100)
     assert at[0] == u[100] and at[1] == u[100]
-    again = uniform_block(sub, 100, 104)
+    again = uniforms_at(sub, np.arange(100, 104))
     assert (again == u[100:104]).all()
 
 
 def test_bitstream_determinism_and_state():
     chain = MarkovChain(0.3, 0.6, 0.7)
-    a = BitStream(chain, 11, 0)
-    b = BitStream(chain, 11, 0)
+    a = BitStream(chain, stream_seeds(11, 0))
+    b = BitStream(chain, stream_seeds(11, 0))
     assert np.array_equal(a.prefix(200), b.prefix(200))
     assert a.emitted >= 200
     assert a.state == a.prefix(200)[-1]
     assert np.array_equal(a.prefix(50), b.prefix(200)[:50])
-    c = BitStream(chain, 11, 1)
+    c = BitStream(chain, stream_seeds(11, 1))
     assert not np.array_equal(c.prefix(200), a.prefix(200))
 
 
@@ -168,8 +180,28 @@ def test_forced_initial_bit():
     for forced in (0, 1):
         streams = generate_strings(chain, 64, 5, forced_initial=forced)
         assert all(s.bit(0) == forced for s in streams)
-    with pytest.raises(ValueError):
-        BitStream(chain, 1, 0, forced_initial=2)
+    for bad in (2, -1, 0.5, "0"):
+        with pytest.raises(ValueError):
+            BitStream(chain, stream_seeds(1, 0), forced_initial=bad)
+        with pytest.raises(ValueError):
+            generate_strings(chain, 3, 1, forced_initial=bad)
+        with pytest.raises(ValueError):
+            batch_external_path_lengths(
+                chain, np.array([4]), replicate_seeds(1, np.arange(1)), forced_initial=bad
+            )
+
+
+def test_bit_thresholds_at_extreme_uniforms():
+    # uniforms lie in [0, 1 - 2^-53]; at both ends the first bit must be the
+    # forced bit, or the only bit a degenerate initial law (mu0 in {0, 1}) allows
+    lowest, highest = 0.0, 1.0 - 2.0**-53
+    for mu0, free in ((0.0, (1, 1)), (0.3, (0, 1)), (1.0, (0, 0))):
+        chain = MarkovChain(mu0, 0.6, 0.7)
+        for forced, expected in ((None, free), (0, (0, 0)), (1, (1, 1))):
+            thresholds = bit_thresholds(chain, forced)
+            assert thresholds[:START] == [chain.p00, chain.p10]
+            first = thresholds[START]
+            assert (int(lowest >= first), int(highest >= first)) == expected
 
 
 def test_initial_bit_frequency():
@@ -183,7 +215,7 @@ def test_initial_bit_frequency():
 
 def test_transition_frequencies_long_run():
     chain = MarkovChain(0.5, 0.3, 0.8)
-    bits = BitStream(chain, 2024, 0).prefix(1_000_000)
+    bits = BitStream(chain, stream_seeds(2024, 0)).prefix(1_000_000)
     arr = np.asarray(bits, dtype=np.int64)
     prev, nxt = arr[:-1], arr[1:]
     for state, p_stay in ((0, chain.p00), (1, chain.p11)):

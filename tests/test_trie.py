@@ -14,6 +14,7 @@ from trielab.markov_source import (
     generate_strings,
     replicate_seed,
     replicate_seeds,
+    stream_seeds,
 )
 from trielab.trie import (
     DepthExceeded,
@@ -66,22 +67,12 @@ def test_degenerate_sizes():
 
 def test_depth_cap_on_duplicate_streams():
     chain = MarkovChain(0.5, 0.6, 0.7)
-    dup = [BitStream(chain, 7, 0), BitStream(chain, 7, 0)]
+    dup = [BitStream(chain, stream_seeds(7, 0)), BitStream(chain, stream_seeds(7, 0))]
     with pytest.raises(DepthExceeded) as err:
         build_trie(dup, max_depth=64)
     assert err.value.depth == 64
     assert err.value.indices == (0, 1)
     assert err.value.replicate is None
-
-
-def test_batch_kernel_depth_cap():
-    chain = MarkovChain(0.5, 0.6, 0.7)
-    seeds = replicate_seeds(3, np.arange(2))
-    with pytest.raises(DepthExceeded) as err:
-        batch_external_path_lengths(chain, [8, 8], seeds, max_depth=1)
-    assert err.value.depth == 1
-    assert err.value.replicate in (0, 1)
-    assert len(err.value.indices) >= 2
 
 
 def test_batch_depth_error_names_one_clashing_group():
@@ -131,13 +122,18 @@ def test_batch_kernel_matches_build_forced():
             assert int(batch[0]) == direct
 
 
+def _one_call_per_replicate(chain, sizes, seeds):
+    """The kernel run on each replicate alone, so each forms its own chunk."""
+    return np.array([batch_external_path_lengths(chain, sizes[r:r + 1], seeds[r:r + 1])[0]
+                     for r in range(len(sizes))])
+
+
 def test_batch_kernel_chunking_invariant():
     chain = MarkovChain(0.5, 0.6, 0.7)
     sizes = np.array([17, 40, 256, 3, 9], dtype=np.int64)
     seeds = replicate_seeds(8, np.arange(5))
     whole = batch_external_path_lengths(chain, sizes, seeds)
-    tiny = batch_external_path_lengths(chain, sizes, seeds, chunk_elements=64)
-    assert (whole == tiny).all()
+    assert (whole == _one_call_per_replicate(chain, sizes, seeds)).all()
 
 
 def test_batch_kernel_chunking_at_default_size():
@@ -148,8 +144,7 @@ def test_batch_kernel_chunking_at_default_size():
     for sizes in (np.full(40, 2048), mixed):
         seeds = replicate_seeds(11, np.arange(len(sizes)))
         default = batch_external_path_lengths(chain, sizes, seeds)
-        big = batch_external_path_lengths(chain, sizes, seeds, chunk_elements=1 << 22)
-        assert (default == big).all()
+        assert (default == _one_call_per_replicate(chain, sizes, seeds)).all()
         assert (default[sizes <= 1] == 0).all()
 
 
@@ -224,6 +219,17 @@ def test_record_matches_shared_prefixes(p00, p11, forced, n, seed):
     for d in trie.leaf_depths:
         hist[d] += 1
     assert list(trie.depth_histogram) == hist
+
+
+def test_degenerate_mu_trie_matches_forced_first_bit():
+    # mu0 in {0, 1} leaves one possible first bit, the one forcing would set
+    for mu0, forced in ((0.0, 1), (1.0, 0)):
+        for p00, p11 in ((0.6, 0.7), (PROB_FLOOR, 0.5)):
+            chain = MarkovChain(mu0, p00, p11)
+            for seed in (0, 5, 2**40):
+                mu = build_trie(generate_strings(chain, 40, seed))
+                delta = build_trie(generate_strings(chain, 40, seed, forced_initial=forced))
+                assert np.array_equal(mu.leaf_depths, delta.leaf_depths)
 
 
 def test_permutation_invariance():
