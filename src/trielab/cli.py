@@ -233,10 +233,7 @@ def _cmd_simulate(args) -> int:
     if args.n < 2:
         print("simulate: need n >= 2 for a standardized run", file=sys.stderr)
         return EXIT_USAGE
-    cfg = SimulationConfig(
-        chain, args.n, args.m, args.seed, initial="mu",
-        standardization=args.standardize,
-    )
+    cfg = SimulationConfig(chain, args.n, args.m, args.seed, standardization=args.standardize)
     table = _table(chain, max(16, args.n))
     sig2 = sigma_squared(chain)[1] if args.standardize == "asymptotic" else 0.0
     cloud = simulate_epl(cfg, threads=args.threads)

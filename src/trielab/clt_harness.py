@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from trielab.exact_moments import MomentTable, mean_for_initial, variance_for_initial
-from trielab.markov_source import MarkovChain, replicate_seeds, stream_seeds, uniforms_at
+from trielab.markov_source import MarkovChain, replicate_seed, stream_seeds, uniforms_at
 from trielab.poisson_analysis import _weights
 from trielab.trie import DepthExceeded, batch_external_path_lengths
 
@@ -49,23 +49,16 @@ class SingularFit(ValueError):
     """Variance-growth regression needs >= 4 distinct grid points."""
 
 
-_FORCED_INITIAL = {"delta0": 0, "delta1": 1, "mu": None}  # initial mode -> first bit
 _POISSON_SIZE_SALT = 200  # stream of the per-replicate Poisson sizes
 _STANDARDIZATIONS = ("oracle", "asymptotic")
-
-
-def _forced_initial(initial: str) -> int | None:
-    if initial not in _FORCED_INITIAL:
-        raise ValueError(f"initial must be one of {tuple(_FORCED_INITIAL)}")
-    return _FORCED_INITIAL[initial]
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """One Monte Carlo run: m tries of n strings each.
 
-    `initial` picks the first-symbol law: "delta0"/"delta1" force it, "mu"
-    draws it from the chain's mu.  `standardization` selects the scale used
+    The first symbol follows the chain's mu0; a chain with mu0 = 1 - i starts
+    every string in state i.  `standardization` selects the scale used
     downstream: the oracle-exact standard deviation or the asymptotic
     sqrt(sigma^2 n log n).
     """
@@ -74,7 +67,6 @@ class SimulationConfig:
     n: int
     m: int
     seed: int
-    initial: str = "mu"
     standardization: str = "asymptotic"
 
     def __post_init__(self):
@@ -82,13 +74,8 @@ class SimulationConfig:
             raise ValueError("n must be >= 0")
         if self.m < 2:
             raise ValueError("m must be >= 2")
-        _forced_initial(self.initial)
         if self.standardization not in _STANDARDIZATIONS:
             raise ValueError(f"standardization must be one of {_STANDARDIZATIONS}")
-
-    @property
-    def forced_initial(self) -> int | None:
-        return _FORCED_INITIAL[self.initial]
 
 
 class EmpiricalCloud:
@@ -159,7 +146,7 @@ def simulate_epl(config: SimulationConfig, threads: int = 0) -> EmpiricalCloud:
     the output identical for any thread count.
     """
     m, n = config.m, config.n
-    seeds = replicate_seeds(config.seed, np.arange(m))
+    seeds = replicate_seed(config.seed, np.arange(m))
     sizes = np.full(m, n, dtype=np.int64)
     if threads == 0:
         threads = min(os.cpu_count() or 1, 8)
@@ -174,10 +161,7 @@ def simulate_epl(config: SimulationConfig, threads: int = 0) -> EmpiricalCloud:
         start, stop = block
         try:
             raw[start:stop] = batch_external_path_lengths(
-                config.chain,
-                sizes[start:stop],
-                seeds[start:stop],
-                forced_initial=config.forced_initial,
+                config.chain, sizes[start:stop], seeds[start:stop]
             )
         except DepthExceeded as err:
             raise DepthExceeded(
@@ -195,14 +179,10 @@ def simulate_epl(config: SimulationConfig, threads: int = 0) -> EmpiricalCloud:
     return EmpiricalCloud(raw - shift)
 
 
-def simulate_epl_poisson(
-    chain: MarkovChain, lam: float, m: int, seed: int, initial: str = "mu"
-) -> EmpiricalCloud:
+def simulate_epl_poisson(chain: MarkovChain, lam: float, m: int, seed: int) -> EmpiricalCloud:
     """Path lengths of tries over Poisson(lam)-many strings, one draw per replicate."""
-    forced = _forced_initial(initial)
     sizes = poisson_sizes(lam, m, seed)
-    seeds = replicate_seeds(seed, np.arange(m))
-    raw = batch_external_path_lengths(chain, sizes, seeds, forced_initial=forced)
+    raw = batch_external_path_lengths(chain, sizes, replicate_seed(seed, np.arange(m)))
     return EmpiricalCloud(raw - np.where(sizes >= 2, sizes, 0))
 
 
@@ -234,15 +214,9 @@ def standardization_parameters(
 ) -> tuple[float, float]:
     """(center, scale) for the configured mode; center is always the exact mean."""
     chain, n = config.chain, config.n
-    if config.initial == "mu":
-        center = mean_for_initial(chain, table, n)
-        exact_var = variance_for_initial(chain, table, n)
-    else:
-        i = 0 if config.initial == "delta0" else 1
-        center = float(table.nu[i][n])
-        exact_var = float(table.var[i][n])
+    center = mean_for_initial(chain, table, n)
     if config.standardization == "oracle":
-        scale = math.sqrt(exact_var)
+        scale = math.sqrt(variance_for_initial(chain, table, n))
     else:
         scale = math.sqrt(sigma2 * n * math.log(n))
     return center, scale

@@ -186,7 +186,12 @@ def _split_weights(n: int, mu0: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mean_for_initial(chain: MarkovChain, table: MomentTable, n: int) -> float:
-    """E over the root split: sum_k b(n, mu0, k) (nu_0[k] + nu_1[n-k])."""
+    """E over the root split: sum_k b(n, mu0, k) (nu_0[k] + nu_1[n-k]).
+
+    A delta initial law mu0 = 1 - i puts weight 1.0 on the single split that
+    sends every string to state i, so this returns nu_i[n] exactly, as
+    `variance_for_initial` returns var_i[n].
+    """
     if not 0 <= n <= table.N:
         raise ValueError(f"n={n} outside table horizon {table.N}")
     ks, w = _split_weights(n, chain.mu0)

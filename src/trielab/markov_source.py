@@ -141,13 +141,9 @@ def stream_seeds(seed: int | np.ndarray, indices: int | np.ndarray) -> np.ndarra
     return _keyed(seed, indices, _STREAM_SALT)
 
 
-def replicate_seed(seed: int, replicate: int) -> int:
-    """Sub-seed for one Monte Carlo replicate; feeds `stream_seeds` below it."""
+def replicate_seed(seed: int, replicate: int | np.ndarray) -> np.ndarray | int:
+    """Sub-seed of Monte Carlo replicate(s); feeds `stream_seeds` below it."""
     return _keyed(seed, replicate, _REPLICATE_SALT)
-
-
-def replicate_seeds(seed: int, replicates: np.ndarray) -> np.ndarray:
-    return _keyed(seed, replicates, _REPLICATE_SALT)
 
 
 def uniforms_at(sub_seeds: int | np.ndarray, positions: int | np.ndarray) -> np.ndarray:
@@ -166,43 +162,30 @@ def uniforms_at(sub_seeds: int | np.ndarray, positions: int | np.ndarray) -> np.
 START = 2  # bit-rule state before the first bit
 
 
-def bit_thresholds(chain: MarkovChain, forced_initial: int | None) -> list[float]:
-    """The Markov bit rule as thresholds [p00, p10, first].
+def bit_thresholds(chain: MarkovChain) -> list[float]:
+    """The Markov bit rule as thresholds [p00, p10, mu0].
 
     The bit driven by uniform u is `u >= thresholds[state]`, where `state` is
-    the previous bit, or START before the first bit.  `first` is mu0, or
-    1 - forced for a forced first bit: uniforms lie in [0, 1 - 2^-53], so the
-    threshold 1.0 always gives 0 and 0.0 always gives 1.
+    the previous bit, or START before the first bit.  Uniforms lie in
+    [0, 1 - 2^-53], so a delta initial law is exact: mu0 = 1.0 always gives a
+    first bit 0 and mu0 = 0.0 always gives 1.
     """
-    if forced_initial not in (None, 0, 1):
-        raise ValueError("forced_initial must be None, 0 or 1")
-    first = chain.mu0 if forced_initial is None else 1.0 - forced_initial
-    return [chain.p00, chain.p10, first]
+    return [chain.p00, chain.p10, chain.mu0]
 
 
 class BitStream:
     """Lazily extended bit string of the stream keyed by `sub_seed`.
 
-    Re-creating a stream with the same (chain, sub_seed, forced_initial)
-    reproduces the identical bit sequence; bits are cached so positions can be
-    revisited.  `state` is the last emitted symbol, `emitted` the number of
-    bits produced so far.
+    Re-creating a stream with the same (chain, sub_seed) reproduces the
+    identical bit sequence; bits are cached so positions can be revisited.
     """
 
     __slots__ = ("sub_seed", "_thresholds", "_bits")
 
-    def __init__(self, chain: MarkovChain, sub_seed: int, forced_initial: int | None = None):
+    def __init__(self, chain: MarkovChain, sub_seed: int):
         self.sub_seed = sub_seed
-        self._thresholds = bit_thresholds(chain, forced_initial)
+        self._thresholds = bit_thresholds(chain)
         self._bits: list[int] = []
-
-    @property
-    def emitted(self) -> int:
-        return len(self._bits)
-
-    @property
-    def state(self) -> int | None:
-        return self._bits[-1] if self._bits else None
 
     def _extend_to(self, length: int) -> None:
         start = len(self._bits)
@@ -226,18 +209,13 @@ class BitStream:
         return np.array(self._bits[:length], dtype=np.int8)
 
 
-def generate_strings(
-    chain: MarkovChain,
-    n: int,
-    seed: int,
-    forced_initial: int | None = None,
-) -> list[BitStream]:
+def generate_strings(chain: MarkovChain, n: int, seed: int) -> list[BitStream]:
     """n independent streams; stream j is keyed by `stream_seeds(seed, j)`.
 
-    With `forced_initial` set, every first bit equals it, which models the
-    degenerate initial distributions used by the per-symbol path lengths.
+    A chain with mu0 = 1 - i gives every stream the first bit i, the
+    per-initial-state law of the oracle's rows nu_i and var_i.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     subs = stream_seeds(seed, np.arange(n)).tolist()
-    return [BitStream(chain, sub, forced_initial) for sub in subs]
+    return [BitStream(chain, sub) for sub in subs]

@@ -52,10 +52,7 @@ class DepthExceeded(RuntimeError):
         self.depth = int(depth)
         self.replicate = replicate
         where = f" in replicate {replicate}" if replicate is not None else ""
-        super().__init__(
-            f"streams {self.indices}{where} share a prefix of length {self.depth}; "
-            "raise max_depth or check the source for duplicate streams"
-        )
+        super().__init__(f"streams {self.indices}{where} share a prefix of length {self.depth}")
 
 
 def default_max_depth(n: int) -> int:
@@ -130,7 +127,6 @@ def batch_external_path_lengths(
     chain: MarkovChain,
     sizes: np.ndarray,
     rep_seeds: np.ndarray,
-    forced_initial: int | None = None,
 ) -> np.ndarray:
     """EPL of one fresh trie per replicate, fully vectorized across replicates.
 
@@ -156,13 +152,7 @@ def batch_external_path_lengths(
             load += int(sizes[stop])
             stop += 1
         _epl_chunk(
-            chain,
-            sizes[start:stop],
-            rep_seeds[start:stop],
-            forced_initial,
-            max_depth,
-            total[start:stop],
-            start,
+            chain, sizes[start:stop], rep_seeds[start:stop], max_depth, total[start:stop], start
         )
         start = stop
     return total
@@ -172,7 +162,6 @@ def _epl_chunk(
     chain: MarkovChain,
     sizes: np.ndarray,
     rep_seeds: np.ndarray,
-    forced_initial: int | None,
     max_depth: int,
     out: np.ndarray,
     replicate_offset: int,
@@ -181,7 +170,7 @@ def _epl_chunk(
     # hold >= 2 strings; group g belongs to replicate grep[g], has gsize[g]
     # members and was entered on bit gstate[g] (START for the root groups).
     # Group ids are ranks of key*2 + bit, so they stay sorted by replicate.
-    thresholds = np.array(bit_thresholds(chain, forced_initial))
+    thresholds = np.array(bit_thresholds(chain))
     reps = len(sizes)
     m = int(sizes.sum())
     rep = np.repeat(np.arange(reps, dtype=np.int64), sizes)
@@ -201,8 +190,7 @@ def _epl_chunk(
         if depth >= max_depth:
             bad = int(grep[0])
             raise _clashing_group(
-                chain, int(sizes[bad]), int(rep_seeds[bad]), forced_initial,
-                depth, replicate_offset + bad,
+                chain, int(sizes[bad]), int(rep_seeds[bad]), depth, replicate_offset + bad
             )
         # everyone left shares a group, so everyone consumes one symbol here
         out += np.bincount(grep, weights=gsize, minlength=reps).astype(np.int64)
@@ -219,12 +207,7 @@ def _epl_chunk(
 
 
 def _clashing_group(
-    chain: MarkovChain,
-    size: int,
-    rep_seed: int,
-    forced_initial: int | None,
-    depth: int,
-    replicate: int,
+    chain: MarkovChain, size: int, rep_seed: int, depth: int, replicate: int
 ) -> DepthExceeded:
     """DepthExceeded naming one group of one replicate that clashes at `depth`.
 
@@ -233,7 +216,7 @@ def _clashing_group(
     group at the same depth.
     """
     try:
-        build_trie(generate_strings(chain, size, rep_seed, forced_initial), depth)
+        build_trie(generate_strings(chain, size, rep_seed), depth)
     except DepthExceeded as err:
         return DepthExceeded(err.indices, depth, replicate)
     raise RuntimeError(f"replicate {replicate} did not clash when rebuilt")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from trielab.clt_harness import (
     uniform_cloud,
 )
 from trielab.exact_moments import mean_for_initial
-from trielab.markov_source import PROB_FLOOR, MarkovChain, stream_seeds, uniforms_at
+from trielab.markov_source import MarkovChain, stream_seeds, uniforms_at
 from trielab.spectral import sigma_squared
 
 
@@ -50,17 +51,7 @@ def test_config_validation(chain67):
     with pytest.raises(ValueError):
         SimulationConfig(chain67, 8, 1, 0)
     with pytest.raises(ValueError):
-        SimulationConfig(chain67, 8, 10, 0, initial="first")
-    with pytest.raises(ValueError):
         SimulationConfig(chain67, 8, 10, 0, standardization="none")
-    assert SimulationConfig(chain67, 8, 10, 0, initial="delta1").forced_initial == 1
-    assert SimulationConfig(chain67, 8, 10, 0, initial="delta0").forced_initial == 0
-    assert SimulationConfig(chain67, 8, 10, 0).forced_initial is None
-
-
-def test_poisson_simulation_rejects_unknown_initial(chain67):
-    with pytest.raises(ValueError, match="initial must be one of"):
-        simulate_epl_poisson(chain67, 4.0, 10, 0, initial="bogus")
 
 
 def test_simulation_thread_invariance(chain67):
@@ -78,36 +69,26 @@ def test_trivial_sizes_give_zero(chain67):
         assert (cloud.samples == 0.0).all()
 
 
-def test_degenerate_mu_matches_forced_first_bit():
-    # with mu0 in {0, 1} the initial law is a point mass, so "mu" draws the very
-    # streams that forcing the first bit draws, replicate for replicate
-    for mu0, forced in ((0.0, "delta1"), (1.0, "delta0")):
-        for p00, p11 in ((0.6, 0.7), (PROB_FLOOR, 0.5)):
-            chain = MarkovChain(mu0, p00, p11)
-            mu = simulate_epl(SimulationConfig(chain, 64, 50, 17), threads=1)
-            delta = simulate_epl(SimulationConfig(chain, 64, 50, 17, initial=forced), threads=1)
-            assert np.array_equal(mu.samples, delta.samples)
-
-
 def test_forced_clouds_match_oracle(chain67, table67):
-    # the oracle's per-state rows are the laws of the delta0 and delta1 clouds;
+    # the oracle's per-state rows are the laws of the clouds with mu0 = 1 - i;
     # sizes, replicates, seed and the 4-sigma bound were fixed before running
     m = 8000
-    for i, initial in enumerate(("delta0", "delta1")):
+    for i in (0, 1):
+        chain = replace(chain67, mu0=1.0 - i)
         for n in (16, 128):
-            cloud = simulate_epl(SimulationConfig(chain67, n, m, 31, initial=initial))
+            cloud = simulate_epl(SimulationConfig(chain, n, m, 31))
             se = math.sqrt(table67.var[i][n] / m)
             assert abs(cloud.mean() - table67.nu[i][n]) <= 4.0 * se
 
 
 def test_two_string_mean_fair_chain():
-    # forcing both initial states equal, the pair shares Geometric(1/2) >= 1
-    # levels before splitting: shifted length 2 Geom, mean 4, variance 8.
-    # under the mu law the first level already separates half the pairs, so
+    # with mu0 = 1 both initial states are 0, so the pair shares Geometric(1/2)
+    # >= 1 levels before splitting: shifted length 2 Geom, mean 4, variance 8.
+    # with mu0 = 1/2 the first level already separates half the pairs, so
     # the mean drops to 2 while the variance stays 8
     fair = MarkovChain(0.5, 0.5, 0.5)
     m = 200_000
-    forced = simulate_epl(SimulationConfig(fair, 2, m, 99, initial="delta0"))
+    forced = simulate_epl(SimulationConfig(replace(fair, mu0=1.0), 2, m, 99))
     se = math.sqrt(forced.variance() / m)
     assert abs(forced.mean() - 4.0) <= 4.0 * se
     assert abs(forced.variance() - 8.0) <= 0.5
@@ -158,10 +139,13 @@ def test_standardize_arithmetic_and_bad_scale():
 def test_standardization_parameters(chain67, table67):
     sig2 = sigma_squared(chain67)[1]
     n = 100
-    cfg = SimulationConfig(chain67, n, 10, 0, initial="delta0", standardization="oracle")
-    center, scale = standardization_parameters(cfg, table67, sig2)
-    assert center == pytest.approx(float(table67.nu[0][n]), abs=1e-12)
-    assert scale == pytest.approx(math.sqrt(float(table67.var[0][n])), rel=1e-12)
+    # a delta initial law mu0 = 1 - i gives the oracle's row i exactly
+    for i in (0, 1):
+        chain = replace(chain67, mu0=1.0 - i)
+        cfg = SimulationConfig(chain, n, 10, 0, standardization="oracle")
+        center, scale = standardization_parameters(cfg, table67, sig2)
+        assert center == table67.nu[i][n]
+        assert scale == math.sqrt(table67.var[i][n])
     cfg = SimulationConfig(chain67, n, 10, 0)
     center, scale = standardization_parameters(cfg, table67, sig2)
     assert center == pytest.approx(mean_for_initial(chain67, table67, n), abs=1e-12)

@@ -16,7 +16,6 @@ from trielab.markov_source import (
     entropy_rate,
     generate_strings,
     replicate_seed,
-    replicate_seeds,
     stationary_distribution,
     stream_seeds,
     uniforms_at,
@@ -107,7 +106,7 @@ def test_mixing_leaves_inputs_untouched():
     # the mixer works in place on the uint64 array it is given; the seed and
     # uniform functions hand it their own temporaries, never the caller's arrays
     x = np.arange(1000, dtype=np.uint64) * np.uint64(7919)
-    seeds = replicate_seeds(4, np.arange(1000))
+    seeds = replicate_seed(4, np.arange(1000))
     before_x, before_seeds = x.copy(), seeds.copy()
     mixed = _mix64(x.copy())
     assert (mixed == np.array([_mix64_int(int(v)) for v in x], dtype=np.uint64)).all()
@@ -123,7 +122,7 @@ def test_stream_seeds_broadcast():
     singles = np.array([stream_seeds(123, int(i)) for i in idx], dtype=np.uint64)
     assert (batch == singles).all()
     # per-replicate seed arrays broadcast against the index array
-    seeds = replicate_seeds(9, np.arange(50))
+    seeds = replicate_seed(9, np.arange(50))
     pairwise = stream_seeds(seeds, idx)
     for j in (0, 17, 49):
         assert int(pairwise[j]) == int(stream_seeds(int(seeds[j]), int(idx[j])))
@@ -136,15 +135,15 @@ def test_scalar_salting_is_silent():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pair = stream_seeds(seeds, 3)
-        single = replicate_seeds(1, 3)
+        single = replicate_seed(1, 3)
     salted = _mix64_int(4 * 0xD1B54A32D192ED03)
     assert [int(v) for v in pair] == [_mix64_int(5 ^ salted), _mix64_int(6 ^ salted)]
     assert int(single) == _mix64_int(1 ^ _mix64_int(4 * 0x8CB92BA72F3D8DD7))
-    assert int(single) == replicate_seed(1, 3)
+    assert single == int(replicate_seed(1, np.arange(4))[3])
 
 
 def test_replicate_seed_scalar_matches_array():
-    arr = replicate_seeds(42, np.arange(8))
+    arr = replicate_seed(42, np.arange(8))
     for r in range(8):
         assert replicate_seed(42, r) == int(arr[r])
 
@@ -168,40 +167,30 @@ def test_bitstream_determinism_and_state():
     a = BitStream(chain, stream_seeds(11, 0))
     b = BitStream(chain, stream_seeds(11, 0))
     assert np.array_equal(a.prefix(200), b.prefix(200))
-    assert a.emitted >= 200
-    assert a.state == a.prefix(200)[-1]
+    assert a.prefix(200).shape == (200,)
+    assert a.prefix(200)[-1] == b.bit(199)
     assert np.array_equal(a.prefix(50), b.prefix(200)[:50])
     c = BitStream(chain, stream_seeds(11, 1))
     assert not np.array_equal(c.prefix(200), a.prefix(200))
 
 
 def test_forced_initial_bit():
-    chain = MarkovChain(0.5, 0.6, 0.7)
+    # a delta initial law mu0 = 1 - i starts every stream with bit i
     for forced in (0, 1):
-        streams = generate_strings(chain, 64, 5, forced_initial=forced)
+        streams = generate_strings(MarkovChain(1.0 - forced, 0.6, 0.7), 64, 5)
         assert all(s.bit(0) == forced for s in streams)
-    for bad in (2, -1, 0.5, "0"):
-        with pytest.raises(ValueError):
-            BitStream(chain, stream_seeds(1, 0), forced_initial=bad)
-        with pytest.raises(ValueError):
-            generate_strings(chain, 3, 1, forced_initial=bad)
-        with pytest.raises(ValueError):
-            batch_external_path_lengths(
-                chain, np.array([4]), replicate_seeds(1, np.arange(1)), forced_initial=bad
-            )
 
 
 def test_bit_thresholds_at_extreme_uniforms():
     # uniforms lie in [0, 1 - 2^-53]; at both ends the first bit must be the
-    # forced bit, or the only bit a degenerate initial law (mu0 in {0, 1}) allows
+    # only bit a degenerate initial law (mu0 in {0, 1}) allows
     lowest, highest = 0.0, 1.0 - 2.0**-53
-    for mu0, free in ((0.0, (1, 1)), (0.3, (0, 1)), (1.0, (0, 0))):
+    for mu0, expected in ((0.0, (1, 1)), (0.3, (0, 1)), (1.0, (0, 0))):
         chain = MarkovChain(mu0, 0.6, 0.7)
-        for forced, expected in ((None, free), (0, (0, 0)), (1, (1, 1))):
-            thresholds = bit_thresholds(chain, forced)
-            assert thresholds[:START] == [chain.p00, chain.p10]
-            first = thresholds[START]
-            assert (int(lowest >= first), int(highest >= first)) == expected
+        thresholds = bit_thresholds(chain)
+        assert thresholds == [chain.p00, chain.p10, mu0]
+        first = thresholds[START]
+        assert (int(lowest >= first), int(highest >= first)) == expected
 
 
 def test_initial_bit_frequency():
@@ -254,27 +243,17 @@ _PINNED_UNIFORMS = {  # position -> uniforms_at(stream_seeds(20240817, _PINNED_I
     1: ('0x1.c878f697ada36p-2', '0x1.3b7e3e4fd30aap-1', '0x1.8b2f3e87caa24p-3'),
     10**6: ('0x1.4ff8534dbf840p-3', '0x1.b0a5a046ab732p-1', '0x1.4be1fdd0f9bdbp-1'),
 }
-_PINNED_BITS = {  # (mu0, p00, p11, forced) -> first 64 bits of streams 0..2 of seed 20240817
-    (0.5, 0.6, 0.7, None): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0x7dc407c58c3f03ef),
-    (0.5, 0.6, 0.7, 0): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
-    (0.5, 0.6, 0.7, 1): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
-    (0.0, 0.6, 0.7, None): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
-    (0.0, 0.6, 0.7, 0): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
-    (0.0, 0.6, 0.7, 1): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
-    (1.0, 0.6, 0.7, None): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
-    (1.0, 0.6, 0.7, 0): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
-    (1.0, 0.6, 0.7, 1): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
-    (0.0, PROB_FLOOR, 0.5, None): (0xbebbaaaeabefaad7, 0xb557aeb55555db57, 0xfdd55555ad7abfdf),
-    (0.0, PROB_FLOOR, 0.5, 0): (0x7ebbaaaeabefaad7, 0x7557aeb55555db57, 0x7dd55555ad7abfdf),
-    (0.0, PROB_FLOOR, 0.5, 1): (0xbebbaaaeabefaad7, 0xb557aeb55555db57, 0xfdd55555ad7abfdf),
-    (1.0, PROB_FLOOR, 0.5, None): (0x7ebbaaaeabefaad7, 0x7557aeb55555db57, 0x7dd55555ad7abfdf),
-    (1.0, PROB_FLOOR, 0.5, 0): (0x7ebbaaaeabefaad7, 0x7557aeb55555db57, 0x7dd55555ad7abfdf),
-    (1.0, PROB_FLOOR, 0.5, 1): (0xbebbaaaeabefaad7, 0xb557aeb55555db57, 0xfdd55555ad7abfdf),
+_PINNED_BITS = {  # (mu0, p00, p11) -> first 64 bits of streams 0..2 of seed 20240817
+    (0.5, 0.6, 0.7): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0x7dc407c58c3f03ef),
+    (0.0, 0.6, 0.7): (0xffb9800fefe1c2ff, 0xb473ae3d07005f47, 0xfdc407c58c3f03ef),
+    (1.0, 0.6, 0.7): (0x3fb9800fefe1c2ff, 0x3473ae3d07005f47, 0x7dc407c58c3f03ef),
+    (0.0, PROB_FLOOR, 0.5): (0xbebbaaaeabefaad7, 0xb557aeb55555db57, 0xfdd55555ad7abfdf),
+    (1.0, PROB_FLOOR, 0.5): (0x7ebbaaaeabefaad7, 0x7557aeb55555db57, 0x7dd55555ad7abfdf),
 }
-_PINNED_EPLS = {  # forced -> EPLs of tries over 2, 100, 2048 streams on chain (0.5, 0.6, 0.7)
-    None: (8, 822, 27497),
-    0: (12, 926, 29412),
-    1: (8, 922, 29923),
+_PINNED_EPLS = {  # mu0 -> EPLs of tries over 2, 100, 2048 streams on chain (mu0, 0.6, 0.7)
+    0.5: (8, 822, 27497),
+    1.0: (12, 926, 29412),
+    0.0: (8, 922, 29923),
 }
 
 
@@ -287,12 +266,12 @@ def test_streams_match_pinned_values():
     subs = stream_seeds(20240817, np.array(_PINNED_INDICES))
     for position, values in _PINNED_UNIFORMS.items():
         assert [float(u).hex() for u in uniforms_at(subs, position)] == list(values)
-    for (mu0, p00, p11, forced), words in _PINNED_BITS.items():
-        streams = generate_strings(MarkovChain(mu0, p00, p11), 3, 20240817, forced)
+    for (mu0, p00, p11), words in _PINNED_BITS.items():
+        streams = generate_strings(MarkovChain(mu0, p00, p11), 3, 20240817)
         assert tuple(int("".join(map(str, s.prefix(64))), 2) for s in streams) == words
-    seeds = replicate_seeds(20240817, np.arange(3))
-    for forced, epls in _PINNED_EPLS.items():
+    seeds = replicate_seed(20240817, np.arange(3))
+    for mu0, epls in _PINNED_EPLS.items():
         got = batch_external_path_lengths(
-            MarkovChain(0.5, 0.6, 0.7), np.array([2, 100, 2048]), seeds, forced_initial=forced
+            MarkovChain(mu0, 0.6, 0.7), np.array([2, 100, 2048]), seeds
         )
         assert tuple(got.tolist()) == epls

@@ -13,7 +13,6 @@ from trielab.markov_source import (
     MarkovChain,
     generate_strings,
     replicate_seed,
-    replicate_seeds,
     stream_seeds,
 )
 from trielab.trie import (
@@ -81,9 +80,12 @@ def test_batch_depth_error_names_one_clashing_group():
     chain = MarkovChain(0.5, 0.5, 1.0 - PROB_FLOOR)
     n, m = 64, 20
     with pytest.raises(DepthExceeded) as err:
-        batch_external_path_lengths(chain, np.full(m, n), replicate_seeds(1, np.arange(m)))
+        batch_external_path_lengths(chain, np.full(m, n), replicate_seed(1, np.arange(m)))
     depth, names = err.value.depth, err.value.indices
     assert depth == default_max_depth(n)
+    # the kernel has no max_depth to raise: the message names the depth only
+    message = str(err.value)
+    assert f"prefix of length {depth}" in message and "max_depth" not in message
     assert 0 <= err.value.replicate < m
     streams = generate_strings(chain, n, replicate_seed(1, err.value.replicate))
     prefixes = {j: streams[j].prefix(depth).tobytes() for j in range(n)}
@@ -111,14 +113,12 @@ def test_batch_kernel_matches_build(n, seed, p0, p1):
 
 
 def test_batch_kernel_matches_build_forced():
-    chain = MarkovChain(0.5, 0.3, 0.8)
-    for forced in (0, 1):
+    # delta initial laws: every stream starts in state 1 - mu0
+    for mu0 in (1.0, 0.0):
+        chain = MarkovChain(mu0, 0.3, 0.8)
         for seed in (1, 2, 3):
-            streams = generate_strings(chain, 33, seed, forced_initial=forced)
-            direct = build_trie(streams).epl
-            batch = batch_external_path_lengths(
-                chain, [33], np.array([seed], dtype=np.uint64), forced_initial=forced
-            )
+            direct = build_trie(generate_strings(chain, 33, seed)).epl
+            batch = batch_external_path_lengths(chain, [33], np.array([seed], dtype=np.uint64))
             assert int(batch[0]) == direct
 
 
@@ -131,7 +131,7 @@ def _one_call_per_replicate(chain, sizes, seeds):
 def test_batch_kernel_chunking_invariant():
     chain = MarkovChain(0.5, 0.6, 0.7)
     sizes = np.array([17, 40, 256, 3, 9], dtype=np.int64)
-    seeds = replicate_seeds(8, np.arange(5))
+    seeds = replicate_seed(8, np.arange(5))
     whole = batch_external_path_lengths(chain, sizes, seeds)
     assert (whole == _one_call_per_replicate(chain, sizes, seeds)).all()
 
@@ -142,7 +142,7 @@ def test_batch_kernel_chunking_at_default_size():
     chain = MarkovChain(0.5, 0.6, 0.7)
     mixed = np.array([0, 1, 2048, 30000, 1, 0, 40000, 2, 1 << 16, 0, 1, 5000])
     for sizes in (np.full(40, 2048), mixed):
-        seeds = replicate_seeds(11, np.arange(len(sizes)))
+        seeds = replicate_seed(11, np.arange(len(sizes)))
         default = batch_external_path_lengths(chain, sizes, seeds)
         assert (default == _one_call_per_replicate(chain, sizes, seeds)).all()
         assert (default[sizes <= 1] == 0).all()
@@ -151,7 +151,7 @@ def test_batch_kernel_chunking_at_default_size():
 def test_batch_kernel_memory_stays_cache_sized():
     chain = MarkovChain(0.5, 0.6, 0.7)
     m, n = 400, 2048
-    seeds = replicate_seeds(5, np.arange(m))
+    seeds = replicate_seed(5, np.arange(m))
     tracemalloc.start()
     try:
         batch_external_path_lengths(chain, np.full(m, n), seeds)
@@ -174,28 +174,26 @@ def _epl_or_depth(build):
 
 
 @given(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0), _EDGE_P,
-       _EDGE_P, st.sampled_from([None, 0, 1]), st.integers(min_value=0, max_value=12),
-       st.integers(min_value=0, max_value=2**32))
+       _EDGE_P, st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None)
-def test_batch_kernel_matches_build_on_edge_chains(mu0, p00, p11, forced, n, seed):
+def test_batch_kernel_matches_build_on_edge_chains(mu0, p00, p11, n, seed):
     # near-deterministic rows either still separate the strings or leave a
     # clashing group at the cap; both routes must agree on which, and where
     chain = MarkovChain(mu0, p00, p11)
-    direct = _epl_or_depth(lambda: build_trie(
-        generate_strings(chain, n, seed, forced_initial=forced)).epl)
+    direct = _epl_or_depth(lambda: build_trie(generate_strings(chain, n, seed)).epl)
     batch = _epl_or_depth(lambda: int(batch_external_path_lengths(
-        chain, [n], np.array([seed], dtype=np.uint64), forced_initial=forced)[0]))
+        chain, [n], np.array([seed], dtype=np.uint64))[0]))
     assert batch == direct
 
 
-@given(_EDGE_P, _EDGE_P, st.sampled_from([None, 0, 1]), st.integers(min_value=0, max_value=40),
-       st.integers(min_value=0, max_value=2**32))
+@given(st.sampled_from([0.5, 0.0, 1.0]), _EDGE_P, _EDGE_P,
+       st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None)
-def test_record_matches_shared_prefixes(p00, p11, forced, n, seed):
+def test_record_matches_shared_prefixes(mu0, p00, p11, n, seed):
     # internal nodes are the prefixes shared by >= 2 streams, and a stream's
     # leaf sits one symbol below the longest prefix it shares with another
-    chain = MarkovChain(0.5, p00, p11)
-    streams = generate_strings(chain, n, seed, forced_initial=forced)
+    chain = MarkovChain(mu0, p00, p11)
+    streams = generate_strings(chain, n, seed)
     try:
         trie = build_trie(streams)
     except DepthExceeded as err:
@@ -219,17 +217,6 @@ def test_record_matches_shared_prefixes(p00, p11, forced, n, seed):
     for d in trie.leaf_depths:
         hist[d] += 1
     assert list(trie.depth_histogram) == hist
-
-
-def test_degenerate_mu_trie_matches_forced_first_bit():
-    # mu0 in {0, 1} leaves one possible first bit, the one forcing would set
-    for mu0, forced in ((0.0, 1), (1.0, 0)):
-        for p00, p11 in ((0.6, 0.7), (PROB_FLOOR, 0.5)):
-            chain = MarkovChain(mu0, p00, p11)
-            for seed in (0, 5, 2**40):
-                mu = build_trie(generate_strings(chain, 40, seed))
-                delta = build_trie(generate_strings(chain, 40, seed, forced_initial=forced))
-                assert np.array_equal(mu.leaf_depths, delta.leaf_depths)
 
 
 def test_permutation_invariance():
@@ -270,7 +257,7 @@ def test_mean_epl_matches_oracle(chain67, table67):
     # is the quantity the oracle tabulates
     m, n = 200, 1000
     raw = batch_external_path_lengths(
-        chain67, np.full(m, n), replicate_seeds(424242, np.arange(m))
+        chain67, np.full(m, n), replicate_seed(424242, np.arange(m))
     )
     sample_mean = float((raw - n).mean())
     mu = mean_for_initial(chain67, table67, n)
