@@ -22,6 +22,8 @@ def main() -> int:
     ap.add_argument("--p11", type=float, default=0.7)
     ap.add_argument("--n-max", type=int, default=8192)
     args = ap.parse_args()
+    if args.n_max < 2048:
+        ap.error("--n-max must be at least 2048: the fit needs the four sizes 256..2048")
 
     chain = MarkovChain(args.mu0, args.p00, args.p11)
     sig2 = sigma_squared(chain)[1]

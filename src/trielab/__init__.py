@@ -1,8 +1,6 @@
 """Laboratory for external path lengths of tries built over binary Markov sources."""
 
 from trielab.clt_harness import (
-    EmpiricalCloud,
-    SimulationConfig,
     apply_T,
     fit_variance_growth,
     ks_distance,
@@ -40,8 +38,6 @@ __all__ = [
     "variance_for_initial",
     "sigma_squared",
     "spectral_constants",
-    "EmpiricalCloud",
-    "SimulationConfig",
     "apply_T",
     "fit_variance_growth",
     "ks_distance",

@@ -18,7 +18,6 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numeric error
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import math
@@ -28,7 +27,6 @@ from importlib import resources
 from trielab import __version__
 from trielab.clt_harness import (
     BadScale,
-    SimulationConfig,
     SingularFit,
     apply_T,
     fit_variance_growth,
@@ -36,6 +34,7 @@ from trielab.clt_harness import (
     simulate_epl,
     standardization_parameters,
     standardize,
+    summary,
     uniform_cloud,
 )
 from trielab.exact_moments import (
@@ -109,15 +108,18 @@ def _table(chain: MarkovChain, N: int) -> MomentTable:
 
 
 def _write_csv(path: str, manifest: dict, header, rows) -> None:
-    """Manifest and timestamp comment lines, then the rows; ints print as is, floats by _fmt."""
+    """Manifest and timestamp comment lines, then the rows as CRLF-ended CSV lines.
+
+    Values of type int print as is and all others by _fmt.  No value needs
+    quoting: names are plain identifiers and numbers hold no comma.
+    """
     with open(path, "w", newline="") as fh:
         fh.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
         fh.write("# generated: " + _now() + "\n")
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
-        writer.writerows([str(v) if isinstance(v, int) else _fmt(v) for v in row]
-                         for row in rows)
+            fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join([str(v) if type(v) is int else _fmt(v) for v in row]) + "\r\n"
+                      for row in rows)
 
 
 def _finish(args, chain: MarkovChain, config: dict, fields: dict, lines: list,
@@ -233,35 +235,32 @@ def _cmd_simulate(args) -> int:
     if args.n < 2:
         print("simulate: need n >= 2 for a standardized run", file=sys.stderr)
         return EXIT_USAGE
-    cfg = SimulationConfig(chain, args.n, args.m, args.seed, standardization=args.standardize)
     table = _table(chain, max(16, args.n))
     sig2 = sigma_squared(chain)[1] if args.standardize == "asymptotic" else 0.0
-    cloud = simulate_epl(cfg, threads=args.threads)
-    center, scale = standardization_parameters(cfg, table, sig2)
+    cloud = simulate_epl(chain, args.n, args.m, args.seed, threads=args.threads)
+    center, scale = standardization_parameters(chain, table, args.n, args.standardize, sig2)
     std = standardize(cloud, center, scale)
-    summary = std.summary()
-    config = {
-        **chain.as_dict(), "n": args.n, "m": args.m, "seed": args.seed,
-        "initial": "mu", "standardize": args.standardize,
-    }
+    moments = summary(std)
+    config = {**chain.as_dict(), "n": args.n, "m": args.m, "seed": args.seed,
+              "standardize": args.standardize}
     flags = ("mean_ok", "var_ok", "ks_ok")
     fields = {
         "config": config,
         "center": center,
         "scale": scale,
-        **{k: summary[k] for k in ("mean", "var", "skew", "kurt", "ks")},
-        "flags": {k: summary[k] for k in flags},
+        **{k: moments[k] for k in ("mean", "var", "skew", "kurt", "ks")},
+        "flags": {k: moments[k] for k in flags},
     }
     lines = [
         f"m={args.m} tries of n={args.n} strings, seed {args.seed}",
         f"center {center:.6f}  scale {scale:.6f} ({args.standardize})",
-        f"mean {summary['mean']:+.5f}  var {summary['var']:.5f}  "
-        f"skew {summary['skew']:+.4f}  kurt {summary['kurt']:+.4f}",
-        f"ks to standard normal {summary['ks']:.5f}",
-        "flags " + " ".join(f"{k}={summary[k]}" for k in flags),
+        f"mean {moments['mean']:+.5f}  var {moments['var']:.5f}  "
+        f"skew {moments['skew']:+.4f}  kurt {moments['kurt']:+.4f}",
+        f"ks to standard normal {moments['ks']:.5f}",
+        "flags " + " ".join(f"{k}={moments[k]}" for k in flags),
     ]
     return _finish(args, chain, config, fields, lines,
-                   args.samples, None, ([v] for v in std.samples))
+                   args.samples, None, ([v] for v in std))
 
 
 def _cmd_contraction(args) -> int:
@@ -331,10 +330,7 @@ def _cmd_verify(args) -> int:
     m = 4000 if quick else 20000
     worst_z = 0.0
     for n in grid:
-        cloud = simulate_epl(
-            SimulationConfig(chain, n, m, replicate_seed(seed, n)),
-            threads=args.threads,
-        )
+        cloud = simulate_epl(chain, n, m, replicate_seed(seed, n), threads=args.threads)
         mu = mean_for_initial(chain, table, n)
         se = math.sqrt(variance_for_initial(chain, table, n) / m)
         worst_z = max(worst_z, abs(cloud.mean() - mu) / se)
@@ -364,10 +360,8 @@ def _cmd_verify(args) -> int:
     # 5. CLT normality, standardized with the exact oracle sd
     if chain.is_asymmetric:
         n, m, limit = (512, 800, 0.06) if quick else (2048, 2000, 0.05)
-        cfg = SimulationConfig(chain, n, m, replicate_seed(seed, 5),
-                               standardization="oracle")
-        cloud = simulate_epl(cfg, threads=args.threads)
-        center, scale = standardization_parameters(cfg, table, 0.0)
+        cloud = simulate_epl(chain, n, m, replicate_seed(seed, 5), threads=args.threads)
+        center, scale = standardization_parameters(chain, table, n, "oracle", 0.0)
         ks = ks_distance(standardize(cloud, center, scale))
         record("clt_ks", "pass" if ks <= limit else "fail",
                f"ks {ks:.4f} at n={n}, m={m} (limit {limit})")

@@ -13,7 +13,7 @@ centered laws, the space where it contracts: it combines independent draws
 from two clouds with coefficients whose squares sum to one and centers each
 output cloud, so a pair of standard normal clouds is (statistically) a fixed
 point, and iterating from any other centered unit-variance pair contracts
-toward it.
+toward it.  Every sample cloud is a plain float64 array.
 
 The normal CDF behind `ks_distance` is Phi(x) = erfc(-z)/2, z = x/sqrt 2,
 with erf and erfc from W. J. Cody's rational Chebyshev approximations
@@ -33,7 +33,6 @@ import numpy as np
 
 from trielab.exact_moments import MomentTable, mean_for_initial, variance_for_initial
 from trielab.markov_source import MarkovChain, replicate_seed, stream_seeds, uniforms_at
-from trielab.poisson_analysis import _weights
 from trielab.trie import DepthExceeded, batch_external_path_lengths
 
 
@@ -49,104 +48,52 @@ class SingularFit(ValueError):
     """Variance-growth regression needs >= 4 distinct grid points."""
 
 
-_POISSON_SIZE_SALT = 200  # stream of the per-replicate Poisson sizes
 _STANDARDIZATIONS = ("oracle", "asymptotic")
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """One Monte Carlo run: m tries of n strings each.
+def summary(x: np.ndarray) -> dict:
+    """Moment summary of a sample plus soft pass flags at the 4/sqrt(m) scale.
+
+    The flags describe a standardized cloud (mean near 0, variance near 1);
+    on raw clouds they are still reported but not meaningful.  Skewness and
+    excess kurtosis use the biased central moments, and read 0 on a constant
+    cloud.
+    """
+    m = x.size
+    if m == 0:
+        raise EmptyCloud("cloud has no samples")
+    mean = float(x.mean())
+    var = float(x.var(ddof=1)) if m > 1 else 0.0
+    c = x - mean
+    m2 = float(np.mean(c * c))
+    skew = float(np.mean(c**3)) / m2**1.5 if m2 else 0.0
+    kurt = float(np.mean(c**4)) / (m2 * m2) - 3.0 if m2 else 0.0
+    ks = ks_distance(x)
+    return {
+        "count": m,
+        "mean": mean,
+        "var": var,
+        "skew": skew,
+        "kurt": kurt,
+        "ks": ks,
+        "mean_ok": bool(abs(mean) <= 4.0 / math.sqrt(m)),
+        "var_ok": bool(abs(var - 1.0) <= 8.0 / math.sqrt(m)),
+        "ks_ok": bool(ks <= 0.05),
+    }
+
+
+def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0) -> np.ndarray:
+    """m path lengths of tries over n strings; replicate r depends only on (seed, r).
 
     The first symbol follows the chain's mu0; a chain with mu0 = 1 - i starts
-    every string in state i.  `standardization` selects the scale used
-    downstream: the oracle-exact standard deviation or the asymptotic
-    sqrt(sigma^2 n log n).
+    every string in state i.  Thread-parallel over replicate blocks; the
+    counter-based seeding makes the output identical for any thread count.
     """
-
-    chain: MarkovChain
-    n: int
-    m: int
-    seed: int
-    standardization: str = "asymptotic"
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be >= 0")
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
-        if self.standardization not in _STANDARDIZATIONS:
-            raise ValueError(f"standardization must be one of {_STANDARDIZATIONS}")
-
-
-class EmpiricalCloud:
-    """Sample cloud with moment summaries and acceptance flags."""
-
-    def __init__(self, samples):
-        self.samples = np.asarray(samples, dtype=np.float64)
-
-    @property
-    def size(self) -> int:
-        return self.samples.size
-
-    def mean(self) -> float:
-        self._require_nonempty()
-        return float(self.samples.mean())
-
-    def variance(self) -> float:
-        self._require_nonempty()
-        return float(self.samples.var(ddof=1)) if self.size > 1 else 0.0
-
-    def skewness(self) -> float:
-        self._require_nonempty()
-        c = self.samples - self.samples.mean()
-        m2 = float(np.mean(c * c))
-        if m2 == 0.0:
-            return 0.0
-        return float(np.mean(c**3)) / m2**1.5
-
-    def excess_kurtosis(self) -> float:
-        self._require_nonempty()
-        c = self.samples - self.samples.mean()
-        m2 = float(np.mean(c * c))
-        if m2 == 0.0:
-            return 0.0
-        return float(np.mean(c**4)) / (m2 * m2) - 3.0
-
-    def summary(self) -> dict:
-        """Moment summary plus soft pass flags at the 4/sqrt(m) scale.
-
-        The flags describe a standardized cloud (mean near 0, variance near
-        1); on raw clouds they are still reported but not meaningful.
-        """
-        m = self.size
-        mean = self.mean()
-        var = self.variance()
-        ks = ks_distance(self)
-        return {
-            "count": m,
-            "mean": mean,
-            "var": var,
-            "skew": self.skewness(),
-            "kurt": self.excess_kurtosis(),
-            "ks": ks,
-            "mean_ok": bool(abs(mean) <= 4.0 / math.sqrt(m)),
-            "var_ok": bool(abs(var - 1.0) <= 8.0 / math.sqrt(m)),
-            "ks_ok": bool(ks <= 0.05),
-        }
-
-    def _require_nonempty(self):
-        if self.size == 0:
-            raise EmptyCloud("cloud has no samples")
-
-
-def simulate_epl(config: SimulationConfig, threads: int = 0) -> EmpiricalCloud:
-    """m independent path-length samples; replicate r depends only on (seed, r).
-
-    Thread-parallel over replicate blocks; the counter-based seeding makes
-    the output identical for any thread count.
-    """
-    m, n = config.m, config.n
-    seeds = replicate_seed(config.seed, np.arange(m))
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    seeds = replicate_seed(seed, np.arange(m))
     sizes = np.full(m, n, dtype=np.int64)
     if threads == 0:
         threads = min(os.cpu_count() or 1, 8)
@@ -161,7 +108,7 @@ def simulate_epl(config: SimulationConfig, threads: int = 0) -> EmpiricalCloud:
         start, stop = block
         try:
             raw[start:stop] = batch_external_path_lengths(
-                config.chain, sizes[start:stop], seeds[start:stop]
+                chain, sizes[start:stop], seeds[start:stop]
             )
         except DepthExceeded as err:
             raise DepthExceeded(
@@ -176,57 +123,39 @@ def simulate_epl(config: SimulationConfig, threads: int = 0) -> EmpiricalCloud:
             for job in [pool.submit(run_block, b) for b in ranges]:
                 job.result()
     shift = n if n >= 2 else 0
-    return EmpiricalCloud(raw - shift)
+    return (raw - shift).astype(np.float64)
 
 
-def simulate_epl_poisson(chain: MarkovChain, lam: float, m: int, seed: int) -> EmpiricalCloud:
-    """Path lengths of tries over Poisson(lam)-many strings, one draw per replicate."""
-    sizes = poisson_sizes(lam, m, seed)
-    raw = batch_external_path_lengths(chain, sizes, replicate_seed(seed, np.arange(m)))
-    return EmpiricalCloud(raw - np.where(sizes >= 2, sizes, 0))
-
-
-def poisson_sizes(lam: float, m: int, seed: int) -> np.ndarray:
-    """m counter-seeded Poisson(lam) draws, by inverting the CDF at salted uniforms.
-
-    The CDF is the running sum of the exact pmf (`poisson_analysis._weights`)
-    up to lam + 12 sqrt(lam) + 12, past which the mass is far below one
-    uniform's resolution.
-    """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if lam == 0.0:
-        return np.zeros(m, dtype=np.intp)
-    top = math.ceil(lam + 12.0 * math.sqrt(lam) + 12.0)
-    u = uniforms_at(stream_seeds(seed, _POISSON_SIZE_SALT), np.arange(m))
-    return np.searchsorted(np.cumsum(_weights(lam, 0, top)), u, side="right")
-
-
-def standardize(cloud: EmpiricalCloud, center: float, scale: float) -> EmpiricalCloud:
+def standardize(x: np.ndarray, center: float, scale: float) -> np.ndarray:
     """Elementwise (x - center) / scale."""
     if not (np.isfinite(scale) and scale > 0.0):
         raise BadScale(f"scale must be positive and finite, got {scale}")
-    return EmpiricalCloud((cloud.samples - center) / scale)
+    return (x - center) / scale
 
 
 def standardization_parameters(
-    config: SimulationConfig, table: MomentTable, sigma2: float
+    chain: MarkovChain, table: MomentTable, n: int, mode: str, sigma2: float
 ) -> tuple[float, float]:
-    """(center, scale) for the configured mode; center is always the exact mean."""
-    chain, n = config.chain, config.n
+    """(center, scale) of the n-string law; center is always the exact mean.
+
+    The scale is the oracle-exact standard deviation for mode "oracle" and
+    the asymptotic sqrt(sigma2 n log n) for mode "asymptotic".
+    """
+    if mode not in _STANDARDIZATIONS:
+        raise ValueError(f"standardization must be one of {_STANDARDIZATIONS}")
     center = mean_for_initial(chain, table, n)
-    if config.standardization == "oracle":
+    if mode == "oracle":
         scale = math.sqrt(variance_for_initial(chain, table, n))
     else:
         scale = math.sqrt(sigma2 * n * math.log(n))
     return center, scale
 
 
-def ks_distance(cloud: EmpiricalCloud) -> float:
+def ks_distance(x: np.ndarray) -> float:
     """sup_x |empirical CDF - Phi(x)|, evaluated at the sample points."""
-    if cloud.size == 0:
+    if x.size == 0:
         raise EmptyCloud("cloud has no samples")
-    x = np.sort(cloud.samples)
+    x = np.sort(x)
     m = x.size
     cdf = _normal_cdf(x)
     grid = np.arange(1, m + 1) / m
@@ -312,20 +241,9 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ks_two_sample(a: EmpiricalCloud, b: EmpiricalCloud) -> float:
-    """sup_x |empirical CDF of a - empirical CDF of b|."""
-    if a.size == 0 or b.size == 0:
-        raise EmptyCloud("both clouds must be nonempty")
-    xa, xb = np.sort(a.samples), np.sort(b.samples)
-    allx = np.concatenate([xa, xb])
-    fa = np.searchsorted(xa, allx, side="right") / xa.size
-    fb = np.searchsorted(xb, allx, side="right") / xb.size
-    return float(np.max(np.abs(fa - fb)))
-
-
 def apply_T(
-    cloud0: EmpiricalCloud, cloud1: EmpiricalCloud, chain: MarkovChain, seed: int
-) -> tuple[EmpiricalCloud, EmpiricalCloud]:
+    x0: np.ndarray, x1: np.ndarray, chain: MarkovChain, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
     """One resampling step of the distributional map on centered laws.
 
     Output samples combine independent with-replacement draws W0, W1 from the
@@ -337,20 +255,17 @@ def apply_T(
     of every step would grow about 1.4x per step.  Outputs have mean 0 up to
     rounding.
     """
-    if cloud0.size == 0 or cloud1.size == 0:
+    if x0.size == 0 or x1.size == 0:
         raise EmptyCloud("both clouds must be nonempty")
 
     def draws(salt: int, count: int, source: np.ndarray) -> np.ndarray:
         u = uniforms_at(stream_seeds(seed, salt), np.arange(count))
         return source[(u * source.size).astype(np.int64)]
 
-    out0 = math.sqrt(chain.p00) * draws(0, cloud0.size, cloud0.samples) + math.sqrt(
-        chain.p01
-    ) * draws(1, cloud0.size, cloud1.samples)
-    out1 = math.sqrt(chain.p10) * draws(2, cloud1.size, cloud0.samples) + math.sqrt(
-        chain.p11
-    ) * draws(3, cloud1.size, cloud1.samples)
-    return EmpiricalCloud(out0 - out0.mean()), EmpiricalCloud(out1 - out1.mean())
+    r00, r01, r10, r11 = (math.sqrt(p) for p in (chain.p00, chain.p01, chain.p10, chain.p11))
+    out0 = r00 * draws(0, x0.size, x0) + r01 * draws(1, x0.size, x1)
+    out1 = r10 * draws(2, x1.size, x0) + r11 * draws(3, x1.size, x1)
+    return out0 - out0.mean(), out1 - out1.mean()
 
 
 @dataclass(frozen=True)
@@ -385,7 +300,7 @@ def fit_variance_growth(table: MomentTable, grid) -> VarianceFit:
     return fit_growth_values(grid, values)
 
 
-def uniform_cloud(m: int, seed: int) -> EmpiricalCloud:
+def uniform_cloud(m: int, seed: int) -> np.ndarray:
     """Standardized uniform samples (mean 0, variance 1), counter seeded."""
     u = uniforms_at(stream_seeds(seed, 100), np.arange(m))
-    return EmpiricalCloud((u - 0.5) * math.sqrt(12.0))
+    return (u - 0.5) * math.sqrt(12.0)

@@ -212,19 +212,6 @@ def variance_for_initial(chain: MarkovChain, table: MomentTable, n: int) -> floa
     return within + between
 
 
-@dataclass(frozen=True)
-class ErrorTermTable:
-    """f_i[n] = nu_i[n] - (1/H) n log n and the max one-step increment."""
-
-    f: np.ndarray  # shape (2, N+1)
-    max_increment: float
-
-    def window_max_increment(self, lo: int, hi: int) -> float:
-        """max |f_i[n+1] - f_i[n]| over n in [lo, hi), both initial states."""
-        steps = np.abs(np.diff(self.f[:, lo : hi + 1], axis=1))
-        return float(steps.max())
-
-
 def error_terms(table: MomentTable, entropy: float) -> np.ndarray:
     """f_i[n] = nu_i[n] - (1/H) n log n, shape (2, N+1), with 0 log 0 := 0."""
     ns = np.arange(table.N + 1, dtype=np.float64)
@@ -232,9 +219,3 @@ def error_terms(table: MomentTable, entropy: float) -> np.ndarray:
     lead[1:] = ns[1:] * np.log(ns[1:]) / entropy
     return table.nu - lead
 
-
-def error_term_table(chain: MarkovChain, table: MomentTable, entropy: float) -> ErrorTermTable:
-    """Deviation table of an asymmetric chain; symmetric ones raise SymmetricChain."""
-    chain.require_asymmetric()
-    f = error_terms(table, entropy)
-    return ErrorTermTable(f, float(np.abs(np.diff(f, axis=1)).max()))

@@ -110,19 +110,6 @@ def build_trie(streams: list[BitStream], max_depth: int | None = None) -> Trie:
     return Trie(leaf_depths, size)
 
 
-def min_external_path_length(n: int) -> int:
-    """EPL of the most balanced binary tree with n leaves; a hard lower bound.
-
-    With h = ceil(log2 n), the optimum places 2(n - 2^(h-1)) leaves at depth h
-    and the rest at depth h - 1.
-    """
-    if n <= 1:
-        return 0
-    h = (n - 1).bit_length()
-    deep = 2 * (n - (1 << (h - 1)))
-    return h * deep + (h - 1) * (n - deep)
-
-
 def batch_external_path_lengths(
     chain: MarkovChain,
     sizes: np.ndarray,

@@ -6,67 +6,62 @@ import pytest
 from scipy import special, stats
 
 from trielab.clt_harness import (
-    _POISSON_SIZE_SALT,
     _normal_cdf,
     BadScale,
     EmptyCloud,
-    EmpiricalCloud,
-    SimulationConfig,
     SingularFit,
     apply_T,
     fit_growth_values,
     fit_variance_growth,
     ks_distance,
-    ks_two_sample,
-    poisson_sizes,
     simulate_epl,
-    simulate_epl_poisson,
     standardization_parameters,
     standardize,
+    summary,
     uniform_cloud,
 )
 from trielab.exact_moments import mean_for_initial
 from trielab.markov_source import MarkovChain, stream_seeds, uniforms_at
 from trielab.spectral import sigma_squared
 
+from poisson_sim import _POISSON_SIZE_SALT, poisson_sizes, simulate_epl_poisson
+
 
 @pytest.fixture(scope="module")
 def big_run(chain67, table67, scale_gap67):
     """One large standardized run shared by the distribution tests."""
     sig2 = scale_gap67["sigma2"]
-    config = SimulationConfig(chain67, 2048, 2000, 20240817)
-    cloud = simulate_epl(config)
-    center, scale_asym = standardization_parameters(config, table67, sig2)
-    oracle_cfg = SimulationConfig(chain67, 2048, 2000, 20240817, standardization="oracle")
-    _, scale_oracle = standardization_parameters(oracle_cfg, table67, sig2)
+    cloud = simulate_epl(chain67, 2048, 2000, 20240817)
+    center, scale_asym = standardization_parameters(chain67, table67, 2048, "asymptotic", sig2)
+    _, scale_oracle = standardization_parameters(chain67, table67, 2048, "oracle", sig2)
     return {
         "asymptotic": standardize(cloud, center, scale_asym),
         "oracle": standardize(cloud, center, scale_oracle),
     }
 
 
-def test_config_validation(chain67):
+def test_config_validation(chain67, table67):
     with pytest.raises(ValueError):
-        SimulationConfig(chain67, -1, 10, 0)
+        simulate_epl(chain67, -1, 10, 0)
     with pytest.raises(ValueError):
-        SimulationConfig(chain67, 8, 1, 0)
+        simulate_epl(chain67, 8, 1, 0)
     with pytest.raises(ValueError):
-        SimulationConfig(chain67, 8, 10, 0, standardization="none")
+        standardization_parameters(chain67, table67, 8, "none", 1.0)
 
 
 def test_simulation_thread_invariance(chain67):
-    config = SimulationConfig(chain67, 64, 400, 7)
-    single = simulate_epl(config, threads=1)
-    multi = simulate_epl(config, threads=4)
-    again = simulate_epl(config, threads=4)
-    assert (single.samples == multi.samples).all()
-    assert (multi.samples == again.samples).all()
+    single = simulate_epl(chain67, 64, 400, 7, threads=1)
+    multi = simulate_epl(chain67, 64, 400, 7, threads=4)
+    again = simulate_epl(chain67, 64, 400, 7, threads=4)
+    assert single.dtype == np.float64
+    assert (single == multi).all()
+    assert (multi == again).all()
 
 
 def test_trivial_sizes_give_zero(chain67):
     for n in (0, 1):
-        cloud = simulate_epl(SimulationConfig(chain67, n, 50, 3))
-        assert (cloud.samples == 0.0).all()
+        cloud = simulate_epl(chain67, n, 50, 3)
+        assert (cloud == 0.0).all()
 
 
 def test_forced_clouds_match_oracle(chain67, table67):
@@ -76,7 +71,7 @@ def test_forced_clouds_match_oracle(chain67, table67):
     for i in (0, 1):
         chain = replace(chain67, mu0=1.0 - i)
         for n in (16, 128):
-            cloud = simulate_epl(SimulationConfig(chain, n, m, 31))
+            cloud = simulate_epl(chain, n, m, 31)
             se = math.sqrt(table67.var[i][n] / m)
             assert abs(cloud.mean() - table67.nu[i][n]) <= 4.0 * se
 
@@ -88,24 +83,24 @@ def test_two_string_mean_fair_chain():
     # the mean drops to 2 while the variance stays 8
     fair = MarkovChain(0.5, 0.5, 0.5)
     m = 200_000
-    forced = simulate_epl(SimulationConfig(replace(fair, mu0=1.0), 2, m, 99))
-    se = math.sqrt(forced.variance() / m)
+    forced = simulate_epl(replace(fair, mu0=1.0), 2, m, 99)
+    se = math.sqrt(forced.var(ddof=1) / m)
     assert abs(forced.mean() - 4.0) <= 4.0 * se
-    assert abs(forced.variance() - 8.0) <= 0.5
-    mixed = simulate_epl(SimulationConfig(fair, 2, m, 99))
-    se = math.sqrt(mixed.variance() / m)
+    assert abs(forced.var(ddof=1) - 8.0) <= 0.5
+    mixed = simulate_epl(fair, 2, m, 99)
+    se = math.sqrt(mixed.var(ddof=1) / m)
     assert abs(mixed.mean() - 2.0) <= 4.0 * se
-    assert abs(mixed.variance() - 8.0) <= 0.5
+    assert abs(mixed.var(ddof=1) - 8.0) <= 0.5
 
 
 def test_poisson_sizes_handle_small_counts(chain67):
     lam, m, seed = 1.0, 400, 11
     cloud = simulate_epl_poisson(chain67, lam, m, seed)
     sizes = poisson_sizes(lam, m, seed)
-    assert (cloud.samples[sizes < 2] == 0.0).all()
-    assert (cloud.samples >= 0.0).all()
+    assert (cloud[sizes < 2] == 0.0).all()
+    assert (cloud >= 0.0).all()
     repeat = simulate_epl_poisson(chain67, lam, m, seed)
-    assert (cloud.samples == repeat.samples).all()
+    assert (cloud == repeat).all()
 
 
 def test_poisson_sizes_follow_poisson_law():
@@ -128,9 +123,9 @@ def test_poisson_sizes_follow_poisson_law():
 
 
 def test_standardize_arithmetic_and_bad_scale():
-    cloud = EmpiricalCloud([1.0, 3.0, 5.0])
+    cloud = np.array([1.0, 3.0, 5.0])
     out = standardize(cloud, 3.0, 2.0)
-    assert np.allclose(out.samples, [-1.0, 0.0, 1.0])
+    assert np.allclose(out, [-1.0, 0.0, 1.0])
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(BadScale):
             standardize(cloud, 0.0, bad)
@@ -142,21 +137,19 @@ def test_standardization_parameters(chain67, table67):
     # a delta initial law mu0 = 1 - i gives the oracle's row i exactly
     for i in (0, 1):
         chain = replace(chain67, mu0=1.0 - i)
-        cfg = SimulationConfig(chain, n, 10, 0, standardization="oracle")
-        center, scale = standardization_parameters(cfg, table67, sig2)
+        center, scale = standardization_parameters(chain, table67, n, "oracle", sig2)
         assert center == table67.nu[i][n]
         assert scale == math.sqrt(table67.var[i][n])
-    cfg = SimulationConfig(chain67, n, 10, 0)
-    center, scale = standardization_parameters(cfg, table67, sig2)
+    center, scale = standardization_parameters(chain67, table67, n, "asymptotic", sig2)
     assert center == pytest.approx(mean_for_initial(chain67, table67, n), abs=1e-12)
     assert scale == pytest.approx(math.sqrt(sig2 * n * math.log(n)), rel=1e-12)
 
 
 def test_ks_distance_known_cases():
-    assert ks_distance(EmpiricalCloud([0.0])) == pytest.approx(0.5, abs=1e-12)
-    assert ks_distance(EmpiricalCloud([10.0] * 10)) >= 0.999
+    assert ks_distance(np.array([0.0])) == pytest.approx(0.5, abs=1e-12)
+    assert ks_distance(np.full(10, 10.0)) >= 0.999
     x = np.random.default_rng(123).standard_normal(1_000_000)
-    d = ks_distance(EmpiricalCloud(x))
+    d = ks_distance(x)
     assert d <= 0.0017
     assert d == pytest.approx(stats.kstest(x, "norm").statistic, abs=1e-12)
 
@@ -174,55 +167,43 @@ def test_normal_cdf_matches_scipy():
     assert edges.tolist() == [0.0, 0.5, 1.0]
 
 
-def test_ks_two_sample(chain67):
-    rng = np.random.default_rng(9)
-    a = EmpiricalCloud(rng.standard_normal(500))
-    b = EmpiricalCloud(rng.standard_normal(700) + 0.3)
-    assert ks_two_sample(a, a) == 0.0
-    assert ks_two_sample(EmpiricalCloud([0.0, 1.0]), EmpiricalCloud([5.0, 6.0])) == 1.0
-    assert ks_two_sample(a, b) == pytest.approx(
-        stats.ks_2samp(a.samples, b.samples).statistic, abs=1e-12
-    )
-
-
 def test_empty_cloud_errors(chain67):
-    empty = EmpiricalCloud([])
+    empty = np.array([])
     with pytest.raises(EmptyCloud):
-        empty.mean()
+        summary(empty)
     with pytest.raises(EmptyCloud):
         ks_distance(empty)
     with pytest.raises(EmptyCloud):
-        ks_two_sample(empty, EmpiricalCloud([1.0]))
+        apply_T(empty, np.array([1.0]), chain67, 0)
     with pytest.raises(EmptyCloud):
-        apply_T(empty, EmpiricalCloud([1.0]), chain67, 0)
+        apply_T(np.array([1.0]), empty, chain67, 0)
 
 
 def test_apply_T_coefficients(chain67):
     # T acts on centered laws, so the probe is a mean-0 two-point cloud in one
     # slot and zeros in the other: each output is then a two-point cloud whose
     # range is twice the coefficient that multiplies the nonzero slot
-    pm = EmpiricalCloud(np.tile([-1.0, 1.0], 32))
-    zeros = EmpiricalCloud(np.zeros(64))
+    pm = np.tile([-1.0, 1.0], 32)
+    zeros = np.zeros(64)
     out0, out1 = apply_T(pm, zeros, chain67, 5)
     swap0, swap1 = apply_T(zeros, pm, chain67, 5)
     for out, p in ((out0, chain67.p00), (out1, chain67.p10),
                    (swap0, chain67.p01), (swap1, chain67.p11)):
-        assert np.ptp(out.samples) == pytest.approx(2.0 * math.sqrt(p), abs=1e-12)
+        assert np.ptp(out) == pytest.approx(2.0 * math.sqrt(p), abs=1e-12)
         assert abs(out.mean()) <= 1e-12
     again = apply_T(pm, zeros, chain67, 5)
-    assert (out0.samples == again[0].samples).all()
-    assert (out1.samples == again[1].samples).all()
+    assert (out0 == again[0]).all()
+    assert (out1 == again[1]).all()
 
 
 def test_apply_T_preserves_normal_pair(chain67):
     m = 100_000
     rng = np.random.default_rng(2024)
-    pair = EmpiricalCloud(rng.standard_normal(m)), EmpiricalCloud(rng.standard_normal(m))
-    out0, out1 = apply_T(pair[0], pair[1], chain67, 77)
+    out0, out1 = apply_T(rng.standard_normal(m), rng.standard_normal(m), chain67, 77)
     assert ks_distance(out0) <= 0.01
     assert ks_distance(out1) <= 0.01
-    assert abs(out0.variance() - 1.0) <= 0.03
-    assert abs(out1.variance() - 1.0) <= 0.03
+    assert abs(out0.var(ddof=1) - 1.0) <= 0.03
+    assert abs(out1.var(ddof=1) - 1.0) <= 0.03
     assert abs(out0.mean()) <= 0.02 and abs(out1.mean()) <= 0.02
 
 
@@ -251,40 +232,44 @@ def test_fit_variance_growth_matches_spectral_constant(chain67, table67):
 
 def test_moment_estimates_match_scipy():
     x = np.random.default_rng(5).standard_normal(1000) * 1.7 + 0.4
-    cloud = EmpiricalCloud(x)
-    assert cloud.skewness() == pytest.approx(stats.skew(x, bias=True), abs=1e-12)
-    assert cloud.excess_kurtosis() == pytest.approx(
+    moments = summary(x)
+    assert moments["skew"] == pytest.approx(stats.skew(x, bias=True), abs=1e-12)
+    assert moments["kurt"] == pytest.approx(
         stats.kurtosis(x, fisher=True, bias=True), abs=1e-12
     )
-    assert cloud.variance() == pytest.approx(float(np.var(x, ddof=1)), rel=1e-14)
+    assert moments["var"] == pytest.approx(float(np.var(x, ddof=1)), rel=1e-14)
+    assert moments["mean"] == pytest.approx(float(np.mean(x)), rel=1e-14)
+    constant = summary(np.full(5, 2.0))
+    assert (constant["var"], constant["skew"], constant["kurt"]) == (0.0, 0.0, 0.0)
+    assert summary(np.array([2.0]))["var"] == 0.0
 
 
 def test_uniform_cloud_shape():
     m = 50_000
     cloud = uniform_cloud(m, 4242)
     assert cloud.size == m
-    assert np.abs(cloud.samples).max() <= math.sqrt(3.0) + 1e-12
+    assert np.abs(cloud).max() <= math.sqrt(3.0) + 1e-12
     assert abs(cloud.mean()) <= 4.0 / math.sqrt(m)
-    assert abs(cloud.variance() - 1.0) <= 8.0 / math.sqrt(m)
-    assert (cloud.samples == uniform_cloud(m, 4242).samples).all()
-    assert (cloud.samples != uniform_cloud(m, 4243).samples).any()
+    assert abs(cloud.var(ddof=1) - 1.0) <= 8.0 / math.sqrt(m)
+    assert (cloud == uniform_cloud(m, 4242)).all()
+    assert (cloud != uniform_cloud(m, 4243)).any()
 
 
 def test_summary_flags():
     x = np.random.default_rng(31).standard_normal(20_000)
-    good = EmpiricalCloud(x).summary()
+    good = summary(x)
     assert good["mean_ok"] and good["var_ok"] and good["ks_ok"]
     assert good["count"] == 20_000
-    shifted = EmpiricalCloud(x + 1.0).summary()
+    shifted = summary(x + 1.0)
     assert not shifted["mean_ok"]
 
 
 def test_oracle_scale_cloud_is_normal(big_run):
-    cloud = big_run["oracle"]
-    assert ks_distance(cloud) <= 0.05
-    assert abs(cloud.variance() - 1.0) <= 8.0 / math.sqrt(cloud.size)
-    assert abs(cloud.skewness()) <= 0.25
-    assert abs(cloud.excess_kurtosis()) <= 0.5
+    moments = summary(big_run["oracle"])
+    assert moments["ks"] <= 0.05
+    assert abs(moments["var"] - 1.0) <= 8.0 / math.sqrt(moments["count"])
+    assert abs(moments["skew"]) <= 0.25
+    assert abs(moments["kurt"]) <= 0.5
 
 
 def test_asymptotic_scale_cloud_is_normal(big_run, scale_gap67):
@@ -298,11 +283,12 @@ def test_asymptotic_scale_cloud_is_normal(big_run, scale_gap67):
     # the scale to sigma^2 is the flat linear correction (measured spread
     # 0.0039): a sigma^2 off by 2% spreads it by 0.027 or more.
     cloud = big_run["asymptotic"]
+    moments = summary(cloud)
     r = scale_gap67["ratio"][2048]
-    assert abs(cloud.skewness()) <= 0.25
-    assert abs(cloud.excess_kurtosis()) <= 0.5
+    assert abs(moments["skew"]) <= 0.25
+    assert abs(moments["kurt"]) <= 0.5
     assert ks_distance(standardize(cloud, 0.0, math.sqrt(r))) <= 0.05
-    assert abs(cloud.variance() / r - 1.0) <= 8.0 / math.sqrt(cloud.size)
+    assert abs(moments["var"] / r - 1.0) <= 8.0 / math.sqrt(cloud.size)
     ratios = list(scale_gap67["ratio"].values())
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] > 1.0

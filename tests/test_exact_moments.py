@@ -10,15 +10,14 @@ from scipy import stats
 from trielab.exact_moments import (
     DEFAULT_HORIZON,
     MAX_HORIZON,
-    ErrorTermTable,
     HorizonTooLarge,
     binomial_window,
     compute_moment_table,
-    error_term_table,
+    error_terms,
     mean_for_initial,
     variance_for_initial,
 )
-from trielab.markov_source import PROB_FLOOR, MarkovChain, SymmetricChain, entropy_rate
+from trielab.markov_source import PROB_FLOOR, MarkovChain, entropy_rate
 
 _EDGE_P = st.sampled_from([PROB_FLOOR, 1.0 - PROB_FLOOR, 0.5]) | st.floats(
     min_value=PROB_FLOOR, max_value=1.0 - PROB_FLOOR
@@ -244,26 +243,14 @@ def test_for_initial_horizon_errors(chain67):
         mean_for_initial(chain67, table, -1)
 
 
-def test_error_term_table_contents(chain67):
+def test_error_terms_contents(chain67):
     table = compute_moment_table(chain67, 256)
     H, _, _ = entropy_rate(chain67)
-    err = error_term_table(chain67, table, H)
-    assert isinstance(err, ErrorTermTable)
+    f = error_terms(table, H)
+    assert f.shape == (2, 257)
     n = 100
-    assert err.f[0][n] == pytest.approx(table.nu[0][n] - n * math.log(n) / H, abs=1e-10)
-    assert err.f[1][0] == 0.0 and err.f[1][1] == 0.0
-    manual = np.abs(np.diff(err.f, axis=1)).max()
-    assert err.max_increment == manual
-    assert err.window_max_increment(64, 128) <= err.max_increment
-    inner = np.abs(np.diff(err.f[:, 64:129], axis=1)).max()
-    assert err.window_max_increment(64, 128) == inner
-
-
-def test_error_term_requires_asymmetric():
-    fair = MarkovChain(0.5, 0.5, 0.5)
-    table = compute_moment_table(fair, 16)
-    with pytest.raises(SymmetricChain):
-        error_term_table(fair, table, math.log(2))
+    assert f[0][n] == pytest.approx(table.nu[0][n] - n * math.log(n) / H, abs=1e-10)
+    assert f[1][0] == 0.0 and f[1][1] == 0.0
 
 
 def test_split_recursion_centered_drift(table67, chain67):

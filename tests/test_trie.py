@@ -20,7 +20,6 @@ from trielab.trie import (
     batch_external_path_lengths,
     build_trie,
     default_max_depth,
-    min_external_path_length,
 )
 
 
@@ -227,6 +226,19 @@ def test_permutation_invariance():
     for _ in range(5):
         perm = rng.permutation(25)
         assert build_trie([streams[j] for j in perm]).epl == base
+
+
+def min_external_path_length(n: int) -> int:
+    """EPL of the most balanced binary tree with n leaves; a hard lower bound.
+
+    With h = ceil(log2 n), the optimum places 2(n - 2^(h-1)) leaves at depth h
+    and the rest at depth h - 1.
+    """
+    if n <= 1:
+        return 0
+    h = (n - 1).bit_length()
+    deep = 2 * (n - (1 << (h - 1)))
+    return h * deep + (h - 1) * (n - deep)
 
 
 def test_balanced_lower_bound():
