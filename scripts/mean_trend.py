@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from trielab.exact_moments import compute_moment_table, error_terms, mean_for_initial
+from trielab.exact_moments import MAX_HORIZON, compute_moment_table, error_terms, mean_for_initial
 from trielab.markov_source import MarkovChain, entropy_rate
 
 
@@ -21,6 +21,9 @@ def main() -> int:
     ap.add_argument("--p11", type=float, default=0.7)
     ap.add_argument("--n-max", type=int, default=8192)
     args = ap.parse_args()
+    if not 128 <= args.n_max <= MAX_HORIZON:
+        ap.error(f"--n-max must lie in [128, {MAX_HORIZON}]: the dyadic table starts at "
+                 f"2^7 and the moment table stops at its cap")
 
     chain = MarkovChain(args.mu0, args.p00, args.p11)
     H, H0, H1 = entropy_rate(chain)

@@ -10,8 +10,8 @@ import argparse
 import math
 
 from trielab.clt_harness import fit_variance_growth
-from trielab.exact_moments import compute_moment_table, variance_for_initial
-from trielab.markov_source import MarkovChain
+from trielab.exact_moments import MAX_HORIZON, compute_moment_table, variance_for_initial
+from trielab.markov_source import MarkovChain, SymmetricChain
 from trielab.spectral import sigma_squared
 
 
@@ -24,9 +24,14 @@ def main() -> int:
     args = ap.parse_args()
     if args.n_max < 2048:
         ap.error("--n-max must be at least 2048: the fit needs the four sizes 256..2048")
+    if args.n_max > MAX_HORIZON:
+        ap.error(f"--n-max must be at most {MAX_HORIZON}, the moment table's cap")
 
     chain = MarkovChain(args.mu0, args.p00, args.p11)
-    sig2 = sigma_squared(chain)[1]
+    try:
+        sig2 = sigma_squared(chain)[1]
+    except SymmetricChain as err:
+        ap.error(f"the fit compares against sigma2, which needs an asymmetric chain: {err}")
     table = compute_moment_table(chain, args.n_max)
     kmax = int(math.log2(args.n_max))
     grid = [2**k for k in range(8, kmax + 1)]

@@ -27,7 +27,6 @@ from importlib import resources
 from trielab import __version__
 from trielab.clt_harness import (
     BadScale,
-    SingularFit,
     apply_T,
     fit_variance_growth,
     ks_distance,
@@ -47,7 +46,6 @@ from trielab.exact_moments import (
 )
 from trielab.markov_source import (
     MarkovChain,
-    SymmetricChain,
     entropy_rate,
     generate_strings,
     replicate_seed,
@@ -58,7 +56,14 @@ from trielab.poisson_analysis import (
     check_rate,
     check_variance_decomposition,
 )
-from trielab.spectral import lambda_derivatives, lambda_of_s, sigma_squared, spectral_constants
+from trielab.spectral import (
+    contraction_factor,
+    lambda_derivatives,
+    lambda_of_s,
+    multivariate_condition_holds,
+    sigma_squared,
+    spectral_constants,
+)
 from trielab.trie import DepthExceeded, build_trie
 
 EXIT_OK = 0
@@ -168,7 +173,7 @@ def schema_for(subcommand: str) -> dict:
 
 def _cmd_analyze(args) -> int:
     chain = _chain_of(args)
-    consts = spectral_constants(chain, mode="report")
+    consts = spectral_constants(chain)
     fields = {
         "H": consts.H,
         "H0": consts.H0,
@@ -178,8 +183,8 @@ def _cmd_analyze(args) -> int:
         "lambda_dot": consts.lam_dot_m1,
         "lambda_ddot": consts.lam_ddot_m1,
         "sigma2": consts.sigma2_explicit,
-        "xi_s3": consts.xi(3.0),
-        "cond39": consts.condition_39,
+        "xi_s3": contraction_factor(chain, 3.0),
+        "cond39": multivariate_condition_holds(chain),
     }
     lines = [f"{k} = {v}" for k, v in fields.items()]
     return _finish(args, chain, {}, fields, lines)
@@ -480,7 +485,7 @@ def main(argv=None) -> int:
             FloatingPointError, OverflowError) as err:
         print(f"numeric error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (SymmetricChain, SingularFit, ValueError) as err:
+    except ValueError as err:
         print(f"invalid request: {err}", file=sys.stderr)
         return EXIT_USAGE
 

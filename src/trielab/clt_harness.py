@@ -115,13 +115,9 @@ def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0
                 err.indices, err.depth, replicate=start + (err.replicate or 0)
             ) from None
 
-    if threads == 1:
-        for block in ranges:
-            run_block(block)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for job in [pool.submit(run_block, b) for b in ranges]:
-                job.result()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for job in [pool.submit(run_block, b) for b in ranges]:
+            job.result()
     shift = n if n >= 2 else 0
     return (raw - shift).astype(np.float64)
 

@@ -35,8 +35,6 @@ from trielab.markov_source import MarkovChain
 # N=10**9 from looking like a hang
 MAX_HORIZON = 32768
 
-DEFAULT_HORIZON = 8192
-
 # weights this far below the binomial peak are dropped and the rest rescaled
 WEIGHT_FLOOR = 1e-16
 
@@ -129,7 +127,7 @@ def _solve(a01: float, a10: float, s0: float, s1: float,
     return (c1 * rhs0 + a01 * rhs1) / det, (a10 * rhs0 + c0 * rhs1) / det
 
 
-def compute_moment_table(chain: MarkovChain, N: int = DEFAULT_HORIZON) -> MomentTable:
+def compute_moment_table(chain: MarkovChain, N: int) -> MomentTable:
     """Fill nu_i[n], var_i[n] for n = 0..N by one sweep of 2x2 level solves."""
     if N < 0:
         raise ValueError("horizon must be >= 0")

@@ -19,15 +19,9 @@ both and comparing is the module's built-in error bar.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from trielab.markov_source import (
-    MarkovChain,
-    SymmetricChain,
-    entropy_rate,
-    stationary_distribution,
-)
+from trielab.markov_source import MarkovChain, entropy_rate, stationary_distribution
 
 
 class BadExponent(ValueError):
@@ -65,31 +59,17 @@ def lambda_derivatives(chain: MarkovChain) -> tuple[float, float]:
     return lam_dot, lam_ddot
 
 
-def sigma_squared(chain: MarkovChain, mode: str = "strict") -> tuple[float, float]:
+def sigma_squared(chain: MarkovChain) -> tuple[float, float]:
     """Variance constant two ways: (eigenvalue form, explicit form).
 
     The eigenvalue form is (lambda'' - lambda'^2)/lambda'^3 at s = -1 from
     `lambda_derivatives`; the explicit form is the closed expression in the
     transition probabilities.  They agree within 1e-10 relative for p_ij in
     [0.005, 0.995], so their spread certifies the numerics.  A symmetric
-    chain degenerates (sigma^2 = 0): strict mode raises SymmetricChain,
-    report mode warns and returns zeros.
+    chain degenerates (sigma^2 = 0) and raises SymmetricChain.
     """
-    return _sigma_squared(chain, mode, *lambda_derivatives(chain))
-
-
-def _sigma_squared(chain: MarkovChain, mode: str, lam_dot: float,
-                   lam_ddot: float) -> tuple[float, float]:
-    """`sigma_squared` from derivatives already at hand."""
-    if mode not in ("strict", "report"):
-        raise ValueError(f"mode must be 'strict' or 'report', got {mode!r}")
-    if not chain.is_asymmetric:
-        if mode == "strict":
-            chain.require_asymmetric()
-        warnings.warn(
-            "symmetric chain: variance constant degenerates to 0", stacklevel=3
-        )
-        return 0.0, 0.0
+    chain.require_asymmetric()
+    lam_dot, lam_ddot = lambda_derivatives(chain)
     eigen = (lam_ddot - lam_dot * lam_dot) / lam_dot**3
     h, h0, h1 = entropy_rate(chain)
     pi0, pi1 = stationary_distribution(chain)
@@ -136,20 +116,13 @@ class SpectralConstants:
     sigma2_eigen: float
     sigma2_explicit: float
 
-    def xi(self, s: float) -> float:
-        return contraction_factor(self.chain, s)
 
-    @property
-    def condition_39(self) -> bool:
-        return multivariate_condition_holds(self.chain)
-
-
-def spectral_constants(chain: MarkovChain, mode: str = "strict") -> SpectralConstants:
-    """Evaluate every constant once; `mode` governs the symmetric case."""
+def spectral_constants(chain: MarkovChain) -> SpectralConstants:
+    """Every constant of the chain; both sigma^2 forms read 0.0 on a symmetric chain."""
     h, h0, h1 = entropy_rate(chain)
     pi0, pi1 = stationary_distribution(chain)
     lam_dot, lam_ddot = lambda_derivatives(chain)
-    s2_eigen, s2_explicit = _sigma_squared(chain, mode, lam_dot, lam_ddot)
+    s2_eigen, s2_explicit = sigma_squared(chain) if chain.is_asymmetric else (0.0, 0.0)
     return SpectralConstants(
         chain=chain,
         H=float(h),

@@ -25,7 +25,6 @@ from trielab.markov_source import (
     BitStream,
     MarkovChain,
     bit_thresholds,
-    generate_strings,
     stream_seeds,
     uniforms_at,
 )
@@ -81,17 +80,16 @@ class Trie:
         return np.bincount(self.leaf_depths)
 
 
-def build_trie(streams: list[BitStream], max_depth: int | None = None) -> Trie:
+def build_trie(streams: list[BitStream]) -> Trie:
     """Reference builder: split groups of streams bit by bit until each is alone.
 
     n <= 1 gives a single leaf at depth 0.  Every popped group of >= 2
     streams is one internal node.  Iterative (explicit stack), so the depth
     cap is not limited by the Python recursion limit.  Raises DepthExceeded
-    when a group of >= 2 streams still agrees at `max_depth`.
+    when a group of >= 2 streams still agrees at `default_max_depth(n)`.
     """
     n = len(streams)
-    if max_depth is None:
-        max_depth = default_max_depth(n)
+    max_depth = default_max_depth(n)
     leaf_depths = np.zeros(n, dtype=np.int64)
     size = 0
     stack = [(list(range(n)), 0)] if n else []
@@ -175,10 +173,16 @@ def _epl_chunk(
     depth = 0
     while sub.size:
         if depth >= max_depth:
+            # name the group build_trie would meet first: groups sit in prefix
+            # order and build_trie pops the 1-half first, so it is the
+            # replicate's last group; stream_seeds is injective in the index,
+            # so its members are found by their sub-seeds
             bad = int(grep[0])
-            raise _clashing_group(
-                chain, int(sizes[bad]), int(rep_seeds[bad]), depth, replicate_offset + bad
-            )
+            last = np.searchsorted(grep, bad, side="right") - 1
+            names = np.nonzero(np.isin(
+                stream_seeds(rep_seeds[bad], np.arange(sizes[bad])), sub[key == last]
+            ))[0]
+            raise DepthExceeded(names, depth, replicate_offset + bad)
         # everyone left shares a group, so everyone consumes one symbol here
         out += np.bincount(grep, weights=gsize, minlength=reps).astype(np.int64)
         bit = uniforms_at(sub, depth) >= thresholds[gstate][key]
@@ -191,19 +195,3 @@ def _epl_chunk(
         sub, key = sub[keep], lookup[pair[keep]]
         grep, gsize, gstate = grep[alive >> 1], counts[alive], alive & 1
         depth += 1
-
-
-def _clashing_group(
-    chain: MarkovChain, size: int, rep_seed: int, depth: int, replicate: int
-) -> DepthExceeded:
-    """DepthExceeded naming one group of one replicate that clashes at `depth`.
-
-    The kernel keeps no stream indices, so the replicate is rebuilt
-    explicitly; its streams are the kernel's, so `build_trie` meets a clashing
-    group at the same depth.
-    """
-    try:
-        build_trie(generate_strings(chain, size, rep_seed), depth)
-    except DepthExceeded as err:
-        return DepthExceeded(err.indices, depth, replicate)
-    raise RuntimeError(f"replicate {replicate} did not clash when rebuilt")

@@ -103,6 +103,28 @@ def test_analyze_json(capsys):
     assert report["manifest"]["subcommand"] == "analyze"
 
 
+def test_analyze_symmetric_chain_reports_zero_sigma2():
+    # a whole process, so a warning would reach the real stderr rather than
+    # pytest's warning capture
+    src = Path(trielab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "trielab", "analyze", "--p00", "0.5", "--p11", "0.5", "--json"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    validate(report, "analyze")
+    assert report["sigma2"] == 0.0
+
+
+def test_simulate_asymptotic_scale_rejects_symmetric_chain(capsys):
+    code, out, err = run(capsys, "simulate", "--p00", "0.5", "--p11", "0.5",
+                         "--n", "64", "--m", "20", "--standardize", "asymptotic")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("invalid request: all transition probabilities equal 1/2")
+
+
 def test_analyze_text(capsys):
     code, out, _ = run(capsys, "analyze", *CHAIN)
     assert code == EXIT_OK

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from trielab.exact_moments import (
-    DEFAULT_HORIZON,
     MAX_HORIZON,
     HorizonTooLarge,
     binomial_window,
@@ -55,7 +54,6 @@ def test_horizon_guardrails(chain67):
     table = compute_moment_table(chain67, 16)
     assert table.N == 16
     assert table.nu.shape == (2, 17)
-    assert DEFAULT_HORIZON == 8192
 
 
 @given(st.integers(min_value=2, max_value=3000),

@@ -28,3 +28,52 @@ def unreferenced_definitions(package: Path) -> list[str]:
 def test_src_holds_only_referenced_definitions():
     # a definition that only tests reach belongs beside those tests
     assert unreferenced_definitions(Path(trielab.__file__).parent) == []
+
+
+def unpassed_defaults(package: Path) -> list[str]:
+    """`module.function(param)` of each defaulted parameter that no call in the
+    package passes, by keyword or by position.  A call is matched to a function
+    by its bare name, a call to a class counts for its `__init__`, and a call
+    that unpacks `*args` or `**kwargs` passes everything it might reach."""
+    defaulted, calls = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(node, None) for node in tree.body]
+        while scopes:
+            node, cls = scopes.pop()
+            if isinstance(node, ast.ClassDef):
+                scopes += [(child, node.name) for child in node.body]
+                continue
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            scopes += [(child, None) for child in node.body]
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            offset = 1 if cls else 0  # self is bound, not passed
+            name = cls if node.name == "__init__" else node.name
+            qualified = f"{path.stem}.{cls + '.' if cls else ''}{node.name}"
+            with_default = [(p, i - offset) for i, p in enumerate(positional)
+                            if i >= len(positional) - len(a.defaults)]
+            with_default += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                             if d is not None]
+            defaulted += [(qualified, name, p, i) for p, i in with_default]
+        calls += [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def passes(call: ast.Call, param: str, index: int | None) -> bool:
+        if any(k.arg in (None, param) for k in call.keywords):
+            return True
+        return index is not None and (
+            index < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+    def callee(call: ast.Call) -> str | None:
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    return [f"{qualified}({param})" for qualified, name, param, index in defaulted
+            if qualified != "cli.main"
+            and not any(callee(c) == name and passes(c, param, index) for c in calls)]
+
+
+def test_every_default_is_passed_somewhere():
+    # a parameter only one value in the package ever sets is a constant
+    assert unpassed_defaults(Path(trielab.__file__).parent) == []

@@ -115,17 +115,9 @@ def test_sigma_squared_forms_agree_near_symmetric(p11):
     assert abs(eigen - explicit) <= 1e-8 * abs(explicit)
 
 
-def test_sigma_squared_symmetric_modes():
-    fair = MarkovChain(0.5, 0.5, 0.5)
+def test_sigma_squared_symmetric_raises():
     with pytest.raises(SymmetricChain):
-        sigma_squared(fair, mode="strict")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        eigen, explicit = sigma_squared(fair, mode="report")
-    assert (eigen, explicit) == (0.0, 0.0)
-    assert len(caught) == 1
-    with pytest.raises(ValueError):
-        sigma_squared(fair, mode="bogus")
+        sigma_squared(MarkovChain(0.5, 0.5, 0.5))
 
 
 def test_sigma_squared_invariant_under_state_swap():
@@ -169,16 +161,16 @@ def test_spectral_constants_bundle(chain67):
     assert abs(lambda_of_s(chain67, -1.0) - 1.0) <= 1e-12
     assert abs(consts.lam_dot_m1 - H) <= 1e-6
     assert abs(consts.sigma2_explicit - 0.44566789578520777) <= 1e-14
-    assert abs(consts.xi(3.0) - 0.7499787858254027) <= 1e-14
-    assert consts.condition_39 is True
-    bad = spectral_constants(MarkovChain(0.5, 0.9, 0.2))
-    assert bad.condition_39 is False
-    assert bad.xi(3.0) < 1.0
 
 
-def test_spectral_constants_symmetric_strict():
-    with pytest.raises(SymmetricChain):
-        spectral_constants(MarkovChain(0.5, 0.5, 0.5), mode="strict")
+def test_spectral_constants_symmetric_reads_zero():
+    # the variance constant degenerates; every other constant stays defined
+    fair = MarkovChain(0.5, 0.5, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        consts = spectral_constants(fair)
+    assert (consts.sigma2_eigen, consts.sigma2_explicit) == (0.0, 0.0)
+    assert consts.H == entropy_rate(fair)[0] and consts.lam_dot_m1 > 0.0
 
 
 def test_second_derivative_step_halving_stability():

@@ -67,8 +67,8 @@ def test_depth_cap_on_duplicate_streams():
     chain = MarkovChain(0.5, 0.6, 0.7)
     dup = [BitStream(chain, stream_seeds(7, 0)), BitStream(chain, stream_seeds(7, 0))]
     with pytest.raises(DepthExceeded) as err:
-        build_trie(dup, max_depth=64)
-    assert err.value.depth == 64
+        build_trie(dup)
+    assert err.value.depth == default_max_depth(2) == 256
     assert err.value.indices == (0, 1)
     assert err.value.replicate is None
 
@@ -93,6 +93,10 @@ def test_batch_depth_error_names_one_clashing_group():
     # the named streams are exactly the streams with that prefix: one group
     assert set(names) == {j for j in range(n) if prefixes[j] == shared}
     assert len(names) < n
+    # and it is the group the reference builder meets first on that replicate
+    with pytest.raises(DepthExceeded) as ref:
+        build_trie(streams)
+    assert ref.value.indices == names and ref.value.depth == depth
 
 
 def test_default_max_depth_grows():
