@@ -88,11 +88,14 @@ def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0
     The first symbol follows the chain's mu0; a chain with mu0 = 1 - i starts
     every string in state i.  Thread-parallel over replicate blocks; the
     counter-based seeding makes the output identical for any thread count.
+    threads = 0 picks min(cpu count, 8); a negative count is a ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 2:
         raise ValueError("m must be >= 2")
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = auto), got {threads}")
     seeds = replicate_seed(seed, np.arange(m))
     sizes = np.full(m, n, dtype=np.int64)
     if threads == 0:

@@ -297,6 +297,15 @@ def test_simulate_rejects_tiny_n(capsys):
     assert "n >= 2" in err
 
 
+@pytest.mark.parametrize("sub", ["simulate", "verify"])
+def test_negative_threads_is_usage_error(capsys, sub):
+    extra = ["--n", "64", "--m", "20"] if sub == "simulate" else ["--budget", "quick"]
+    code, out, err = run(capsys, sub, *CHAIN, *extra, "--threads", "-4")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "threads must be >= 0" in err
+
+
 def test_invalid_chain_is_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "--p00", "1.0", "--p11", "0.7")
     assert code == EXIT_USAGE

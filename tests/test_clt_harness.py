@@ -49,6 +49,14 @@ def test_config_validation(chain67, table67):
         standardization_parameters(chain67, table67, 8, "none", 1.0)
 
 
+def test_negative_threads_rejected(chain67):
+    # a negative count used to run one thread silently; 0 stays "auto"
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        simulate_epl(chain67, 8, 10, 0, threads=-4)
+    auto = simulate_epl(chain67, 8, 10, 0, threads=0)
+    assert (auto == simulate_epl(chain67, 8, 10, 0, threads=1)).all()
+
+
 def test_simulation_thread_invariance(chain67):
     single = simulate_epl(chain67, 64, 400, 7, threads=1)
     multi = simulate_epl(chain67, 64, 400, 7, threads=4)

@@ -164,6 +164,38 @@ def test_batch_kernel_memory_stays_cache_sized():
     assert peak < 16 * 2**20
 
 
+def test_batch_kernel_memory_on_ragged_sizes():
+    # one large replicate among many pairs: a chunk holds replicates x the
+    # largest size, so the large one runs alone and no dense grid of
+    # 2769 x 60000 sub-seeds is ever built
+    chain = MarkovChain(0.5, 0.6, 0.7)
+    sizes = np.array([60000] + [2] * 2768)
+    seeds = replicate_seed(13, np.arange(sizes.size))
+    tracemalloc.start()
+    try:
+        ragged = batch_external_path_lengths(chain, sizes, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    big = batch_external_path_lengths(chain, sizes[:1], seeds[:1])
+    small = batch_external_path_lengths(chain, sizes[1:], seeds[1:])
+    assert (ragged == np.concatenate([big, small])).all()
+
+
+def test_batch_kernel_matches_build_on_deep_chain():
+    # p11 = 0.99 keeps groups of 1-runs together for hundreds of levels on
+    # which no string leaves, so the kernel skips compaction there
+    chain = MarkovChain(0.0, 0.3, 0.99)
+    n = 256
+    for seed in (1, 2, 3):
+        trie = build_trie(generate_strings(chain, n, seed))
+        quiet_levels = trie.height - np.unique(trie.leaf_depths).size
+        assert quiet_levels >= 100
+        batch = batch_external_path_lengths(chain, [n], np.array([seed], dtype=np.uint64))
+        assert int(batch[0]) == trie.epl
+
+
 _EDGE_P = st.sampled_from([PROB_FLOOR, 1.0 - PROB_FLOOR, 0.5]) | st.floats(
     min_value=PROB_FLOOR, max_value=1.0 - PROB_FLOOR
 )
