@@ -28,6 +28,7 @@ from trielab import __version__
 from trielab.clt_harness import (
     BadScale,
     apply_T,
+    check_threads,
     fit_variance_growth,
     ks_distance,
     simulate_epl,
@@ -240,6 +241,7 @@ def _cmd_simulate(args) -> int:
     if args.n < 2:
         print("simulate: need n >= 2 for a standardized run", file=sys.stderr)
         return EXIT_USAGE
+    check_threads(args.threads)
     table = _table(chain, max(16, args.n))
     sig2 = sigma_squared(chain)[1] if args.standardize == "asymptotic" else 0.0
     cloud = simulate_epl(chain, args.n, args.m, args.seed, threads=args.threads)
@@ -270,6 +272,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_contraction(args) -> int:
     chain = _chain_of(args)
+    if args.iters < 0:
+        print("contraction: need iters >= 0", file=sys.stderr)
+        return EXIT_USAGE
     cloud0 = cloud1 = uniform_cloud(args.m, args.seed)
     rows = [{"iteration": 0, "ks0": ks_distance(cloud0), "ks1": ks_distance(cloud1)}]
     for it in range(1, args.iters + 1):
@@ -311,6 +316,7 @@ def _cmd_verify(args) -> int:
     def record(name: str, status: str, detail: str) -> None:
         items.append({"name": name, "status": status, "detail": detail})
 
+    check_threads(args.threads)
     table = _table(chain, 8192)
 
     # 1. spectral self-consistency

@@ -14,12 +14,6 @@ from two clouds with coefficients whose squares sum to one and centers each
 output cloud, so a pair of standard normal clouds is (statistically) a fixed
 point, and iterating from any other centered unit-variance pair contracts
 toward it.  Every sample cloud is a plain float64 array.
-
-The normal CDF behind `ks_distance` is Phi(x) = erfc(-z)/2, z = x/sqrt 2,
-with erf and erfc from W. J. Cody's rational Chebyshev approximations
-(Math. Comp. 23, 1969; netlib specfun CALERF): one for |z| <= 0.5, one for
-0.5 < |z| <= 4 and one in 1/z^2 beyond, the last two times exp(-z^2) split
-at trunc(16z)/16 so that the exponential keeps full relative accuracy.
 """
 
 from __future__ import annotations
@@ -49,6 +43,7 @@ class SingularFit(ValueError):
 
 
 _STANDARDIZATIONS = ("oracle", "asymptotic")
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def summary(x: np.ndarray) -> dict:
@@ -82,6 +77,12 @@ def summary(x: np.ndarray) -> dict:
     }
 
 
+def check_threads(threads: int) -> None:
+    """Raise ValueError unless threads is a usable thread count: >= 0, 0 = auto."""
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = auto), got {threads}")
+
+
 def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0) -> np.ndarray:
     """m path lengths of tries over n strings; replicate r depends only on (seed, r).
 
@@ -94,8 +95,7 @@ def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0
         raise ValueError("n must be >= 0")
     if m < 2:
         raise ValueError("m must be >= 2")
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 = auto), got {threads}")
+    check_threads(threads)
     seeds = replicate_seed(seed, np.arange(m))
     sizes = np.full(m, n, dtype=np.int64)
     if threads == 0:
@@ -161,83 +161,10 @@ def ks_distance(x: np.ndarray) -> float:
     return float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / m))))
 
 
-# Cody's coefficients, lowest order first: erf(y) = y P(y^2)/Q(y^2) on
-# |y| <= 0.5; erfc(y) = exp(-y^2) P(y)/Q(y) on (0.5, 4]; erfc(y) =
-# exp(-y^2) (1/sqrt(pi) - r P(r)/Q(r)) / y with r = 1/y^2 beyond 4.  Each Q
-# is monic in its top degree.
-_ERF_NEAR = (
-    (3.20937758913846947e03, 3.77485237685302021e02, 1.13864154151050156e02,
-     3.16112374387056560e00, 1.85777706184603153e-1),
-    (2.84423683343917062e03, 1.28261652607737228e03, 2.44024637934444173e02,
-     2.36012909523441209e01),
-)
-_ERFC_MID = (
-    (1.23033935479799725e03, 2.05107837782607147e03, 1.71204761263407058e03,
-     8.81952221241769090e02, 2.98635138197400131e02, 6.61191906371416295e01,
-     8.88314979438837594e00, 5.64188496988670089e-1, 2.15311535474403846e-8),
-    (1.23033935480374942e03, 3.43936767414372164e03, 4.36261909014324716e03,
-     3.29079923573345963e03, 1.62138957456669019e03, 5.37181101862009858e02,
-     1.17693950891312499e02, 1.57449261107098347e01),
-)
-_ERFC_FAR = (
-    (6.58749161529837803e-4, 1.60837851487422766e-2, 1.25781726111229246e-1,
-     3.60344899949804439e-1, 3.05326634961232344e-1, 1.63153871373020978e-2),
-    (2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
-     1.87295284992346725e00, 2.56852019228982242e00),
-)
-_ERF_EDGE, _ERFC_EDGE = 0.5, 4.0
-_ERFC_CAP = 64.0  # erfc is 0.0 past ~27; capping keeps y = inf from making nan
-_SQRT_HALF = math.sqrt(0.5)
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
-
-def _ratio(coeffs, t: np.ndarray) -> np.ndarray:
-    """P(t)/Q(t) by Horner, with Q's implicit leading 1."""
-    num, den = coeffs
-    p = np.full_like(t, num[-1])
-    for c in num[-2::-1]:
-        p = p * t + c
-    q = t + den[-1]
-    for c in den[-2::-1]:
-        q = q * t + c
-    return p / q
-
-
-def _exp_neg_square(y: np.ndarray) -> np.ndarray:
-    """exp(-y^2) as exp(-s^2) exp(-(y-s)(y+s)), s = trunc(16y)/16: s^2 is exact."""
-    s = np.trunc(16.0 * y) / 16.0
-    return np.exp(-s * s) * np.exp(-(y - s) * (y + s))
-
-
-def _erfc_mid(y: np.ndarray) -> np.ndarray:
-    return _exp_neg_square(y) * _ratio(_ERFC_MID, y)
-
-
-def _erfc_far(y: np.ndarray) -> np.ndarray:
-    y = np.minimum(y, _ERFC_CAP)
-    r = 1.0 / (y * y)
-    return _exp_neg_square(y) * (_INV_SQRT_PI - r * _ratio(_ERFC_FAR, r)) / y
-
-
 def _normal_cdf(x: np.ndarray) -> np.ndarray:
-    """Phi at the ascending samples x, each region on its contiguous slice.
-
-    With z = x/sqrt(2), Phi = 1/2 + erf(z)/2 on |z| <= 0.5, erfc(-z)/2 below
-    and 1 - erfc(z)/2 above.  z is rounded as x * sqrt(1/2), as cephes' ndtr
-    rounds it, so deep in the lower tail the two differ only by erfc's error.
-    """
-    z = x * _SQRT_HALF
-    a, b = np.searchsorted(z, (-_ERFC_EDGE, -_ERF_EDGE), side="left")
-    c, d = np.searchsorted(z, (_ERF_EDGE, _ERFC_EDGE), side="right")
-    out = np.empty_like(z)
-    near = z[b:c]
-    out[b:c] = 0.5 + 0.5 * near * _ratio(_ERF_NEAR, near * near)
-    with np.errstate(under="ignore"):
-        out[:a] = 0.5 * _erfc_far(-z[:a])
-        out[d:] = 1.0 - 0.5 * _erfc_far(z[d:])
-    out[a:b] = 0.5 * _erfc_mid(-z[a:b])
-    out[c:d] = 1.0 - 0.5 * _erfc_mid(z[c:d])
-    return out
+    """Phi(x) = erfc(-z)/2 by the C library's erfc, z = x * sqrt(1/2) rounded as cephes'
+    ndtr rounds it; the memoryview hands math.erfc plain floats without a list of them."""
+    return 0.5 * np.fromiter(map(math.erfc, memoryview(x * -_SQRT_HALF)), np.float64, x.size)
 
 
 def apply_T(

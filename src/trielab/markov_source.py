@@ -56,10 +56,6 @@ class MarkovChain:
                 )
 
     @property
-    def mu1(self) -> float:
-        return 1.0 - self.mu0
-
-    @property
     def p01(self) -> float:
         return 1.0 - self.p00
 

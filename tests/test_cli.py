@@ -298,12 +298,24 @@ def test_simulate_rejects_tiny_n(capsys):
 
 
 @pytest.mark.parametrize("sub", ["simulate", "verify"])
-def test_negative_threads_is_usage_error(capsys, sub):
-    extra = ["--n", "64", "--m", "20"] if sub == "simulate" else ["--budget", "quick"]
+def test_negative_threads_is_usage_error(capsys, monkeypatch, sub):
+    # rejected before the moment table is built, as a bad Poisson rate is
+    def no_table(*args):
+        raise AssertionError("moment table built for a bad thread count")
+
+    monkeypatch.setattr(trielab.cli, "compute_moment_table", no_table)
+    extra = ["--n", "32768", "--m", "20"] if sub == "simulate" else []
     code, out, err = run(capsys, sub, *CHAIN, *extra, "--threads", "-4")
     assert code == EXIT_USAGE
     assert out == ""
-    assert "threads must be >= 0" in err
+    assert "threads must be >= 0 (0 = auto), got -4" in err
+
+
+def test_contraction_rejects_negative_iters(capsys):
+    code, out, err = run(capsys, "contraction", *CHAIN, "--iters", "-3", "--m", "2000")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "iters >= 0" in err
 
 
 def test_invalid_chain_is_usage_error(capsys):
