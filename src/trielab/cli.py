@@ -238,8 +238,8 @@ def _cmd_poisson_check(args) -> int:
 
 def _cmd_simulate(args) -> int:
     chain = _chain_of(args)
-    if args.n < 2:
-        print("simulate: need n >= 2 for a standardized run", file=sys.stderr)
+    if min(args.n, args.m) < 2:
+        print("simulate: need n >= 2 and m >= 2 for a standardized run", file=sys.stderr)
         return EXIT_USAGE
     check_threads(args.threads)
     table = _table(chain, max(16, args.n))
@@ -307,46 +307,37 @@ def _cmd_trie_stats(args) -> int:
     )
 
 
-def _cmd_verify(args) -> int:
-    chain = _chain_of(args)
-    quick = args.budget == "quick"
-    seed = args.seed
-    items = []
+def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int,
+                  threads: int):
+    """(name, value, limit, detail) of each scorecard item, in scorecard order.
 
-    def record(name: str, status: str, detail: str) -> None:
-        items.append({"name": name, "status": status, "detail": detail})
-
-    check_threads(args.threads)
-    table = _table(chain, 8192)
-
-    # 1. spectral self-consistency
-    lam_m1 = lambda_of_s(chain, -1.0)
+    An item passes when value <= limit.  An item outside its domain yields
+    value None and its reason as the detail.
+    """
+    # 1. spectral self-consistency, each gap in units of its own limit
+    gaps = {"|lambda(-1)-1|": (abs(lambda_of_s(chain, -1.0) - 1.0), 1e-12)}
     H, _, _ = entropy_rate(chain)
-    lam_dot, _ = lambda_derivatives(chain)
+    gaps["|lambda_dot-H|"] = (abs(lambda_derivatives(chain)[0] - H), 1e-6)
     sig2 = None
-    ok = abs(lam_m1 - 1.0) <= 1e-12 and abs(lam_dot - H) <= 1e-6
-    detail = f"|lambda(-1)-1|={abs(lam_m1 - 1.0):.2e}, |lambda_dot-H|={abs(lam_dot - H):.2e}"
     if chain.is_asymmetric:
-        eigen, explicit = sigma_squared(chain)
-        rel = abs(eigen - explicit) / abs(explicit)
-        ok = ok and rel <= 1e-8
-        detail += f", sigma2 forms rel diff {rel:.2e}"
-        sig2 = explicit
-    else:
+        eigen, sig2 = sigma_squared(chain)
+        gaps["sigma2 forms rel diff"] = (abs(eigen - sig2) / abs(sig2), 1e-8)
+    worst = max(gap / limit for gap, limit in gaps.values())
+    detail = ", ".join(f"{name}={gap:.2e} of {limit:g}" for name, (gap, limit) in gaps.items())
+    if sig2 is None:
         detail += ", sigma2 comparison skipped (symmetric chain)"
-    record("spectral", "pass" if ok else "fail", detail)
+    yield "spectral", worst, 1.0, f"{detail}; worst gap/limit {worst:.2e}"
 
     # 2. oracle mean vs simulation
     grid = [256] if quick else [16, 256, 1024]
     m = 4000 if quick else 20000
     worst_z = 0.0
     for n in grid:
-        cloud = simulate_epl(chain, n, m, replicate_seed(seed, n), threads=args.threads)
+        cloud = simulate_epl(chain, n, m, replicate_seed(seed, n), threads=threads)
         mu = mean_for_initial(chain, table, n)
         se = math.sqrt(variance_for_initial(chain, table, n) / m)
         worst_z = max(worst_z, abs(cloud.mean() - mu) / se)
-    record("mean", "pass" if worst_z <= 4.0 else "fail",
-           f"worst |z| = {worst_z:.2f} over n in {grid} (limit 4)")
+    yield "mean", worst_z, 4.0, f"worst |z| = {worst_z:.2f} over n in {grid}"
 
     # 3. Poissonized decompositions
     lams = [10.0, 50.0, 200.0] if quick else [10.0, 50.0, 200.0, 1000.0]
@@ -355,30 +346,22 @@ def _cmd_verify(args) -> int:
             check_variance_decomposition(table, i, lam))
         for lam in lams for i in (0, 1)
     )
-    record("poisson", "pass" if worst <= 1e-6 else "fail",
-           f"worst residual {worst:.2e} (limit 1e-06)")
+    yield "poisson", worst, 1e-6, f"worst residual {worst:.2e}"
 
-    # 4. variance growth fit (needs the variance constant)
-    if chain.is_asymmetric:
+    # 4. variance growth fit, which needs the variance constant
+    rel, detail = None, "SymmetricChain: variance constant undefined for symmetric chains"
+    if sig2 is not None:
         fit = fit_variance_growth(table, [2**k for k in range(8, 14)])
         rel = abs(fit.a - sig2) / sig2
-        record("variance_fit", "pass" if rel <= 0.15 else "fail",
-               f"slope {fit.a:.4f} vs sigma2 {sig2:.4f} (rel {rel:.3f}, limit 0.15)")
-    else:
-        record("variance_fit", "skipped",
-               "SymmetricChain: variance constant undefined for symmetric chains")
+        detail = f"slope {fit.a:.4f} vs sigma2 {sig2:.4f}, rel {rel:.3f}"
+    yield "variance_fit", rel, 0.15, detail
 
     # 5. CLT normality, standardized with the exact oracle sd
-    if chain.is_asymmetric:
-        n, m, limit = (512, 800, 0.06) if quick else (2048, 2000, 0.05)
-        cloud = simulate_epl(chain, n, m, replicate_seed(seed, 5), threads=args.threads)
-        center, scale = standardization_parameters(chain, table, n, "oracle", 0.0)
-        ks = ks_distance(standardize(cloud, center, scale))
-        record("clt_ks", "pass" if ks <= limit else "fail",
-               f"ks {ks:.4f} at n={n}, m={m} (limit {limit})")
-    else:
-        record("clt_ks", "skipped",
-               "SymmetricChain: no n log n normal limit for symmetric chains")
+    n, m, limit = (512, 800, 0.06) if quick else (2048, 2000, 0.05)
+    cloud = simulate_epl(chain, n, m, replicate_seed(seed, 5), threads=threads)
+    center, scale = standardization_parameters(chain, table, n, "oracle", 0.0)
+    ks = ks_distance(standardize(cloud, center, scale))
+    yield "clt_ks", ks, limit, f"ks {ks:.4f} at n={n}, m={m}"
 
     # 6. contraction iteration of the map on centered laws from standardized
     # uniform clouds; the KS distance to the normal must have contracted
@@ -388,14 +371,26 @@ def _cmd_verify(args) -> int:
         cloud0, cloud1 = apply_T(cloud0, cloud1, chain,
                                  replicate_seed(seed, 600 + it))
     final = max(ks_distance(cloud0), ks_distance(cloud1))
-    record("contraction", "pass" if final <= limit else "fail",
-           f"ks {final:.4f} after {iters} iterations of m={m} (limit {limit})")
+    yield "contraction", final, limit, f"ks {final:.4f} after {iters} iterations of m={m}"
+
+
+def _cmd_verify(args) -> int:
+    chain = _chain_of(args)
+    check_threads(args.threads)
+    items = []
+    for name, value, limit, detail in _verify_items(
+            chain, _table(chain, 8192), args.budget == "quick", args.seed, args.threads):
+        item = {"name": name, "status": "skipped", "detail": detail, "margin": None}
+        if value is not None:
+            item.update(status="pass" if value <= limit else "fail",
+                        detail=f"{detail} (limit {limit:g})", margin=value / limit)
+        items.append(item)
 
     passed = all(item["status"] != "fail" for item in items)
     lines = [f"{item['status']:>7}  {item['name']}: {item['detail']}"
              for item in items]
     lines.append("verify: " + ("all items passed" if passed else "FAILED"))
-    _finish(args, chain, {"budget": args.budget, "seed": seed},
+    _finish(args, chain, {"budget": args.budget, "seed": args.seed},
             {"budget": args.budget, "items": items, "passed": passed}, lines)
     if not passed:
         first = next(item["name"] for item in items if item["status"] == "fail")

@@ -12,7 +12,7 @@ import pytest
 
 import trielab
 import trielab.cli
-from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main, schema_for
+from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, schema_for
 from trielab.exact_moments import compute_moment_table
 from trielab.markov_source import MarkovChain
 
@@ -65,11 +65,23 @@ def csv_body(path):
     return manifest, [lines[0]] + lines[2:]
 
 
+def closed(schema):
+    """`schema` with every object that lists its properties closed to others,
+    nested ones and `$ref` targets included."""
+    if isinstance(schema, list):
+        return [closed(s) for s in schema]
+    if not isinstance(schema, dict):
+        return schema
+    out = {k: closed(v) for k, v in schema.items()}
+    if isinstance(schema.get("properties"), dict):
+        out = {"additionalProperties": False, **out}
+    return out
+
+
 def validate(report, sub):
-    """The report satisfies its schema, and the schema describes every field."""
-    schema = schema_for(sub)
-    jsonschema.validate(report, schema)
-    assert set(report) <= set(schema["properties"])
+    """The report satisfies its schema, and the schema describes every field
+    at every depth."""
+    jsonschema.validate(report, closed(schema_for(sub)))
 
 
 def assert_rerun_identical(capsys, path, body, *argv):
@@ -297,6 +309,14 @@ def test_simulate_rejects_tiny_n(capsys):
     assert "n >= 2" in err
 
 
+def test_simulate_rejects_tiny_m_before_building_table(capsys, builds):
+    code, out, err = run(capsys, "simulate", *CHAIN, "--n", "32768", "--m", "1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "m >= 2" in err
+    assert builds == []
+
+
 @pytest.mark.parametrize("sub", ["simulate", "verify"])
 def test_negative_threads_is_usage_error(capsys, monkeypatch, sub):
     # rejected before the moment table is built, as a bad Poisson rate is
@@ -384,19 +404,52 @@ def test_trie_stats_json(tmp_path, capsys):
     assert_rerun_identical(capsys, hist, body, *argv)
 
 
+def assert_margins_decide(items):
+    """Each run item passes iff its margin value/limit is at most 1; a skipped
+    item has no margin."""
+    for item in items:
+        if item["status"] == "skipped":
+            assert item["margin"] is None, item
+        else:
+            assert (item["status"] == "pass") == (item["margin"] <= 1.0), item
+
+
 def test_verify_quick_symmetric_skips(capsys):
     code, report, _ = run_json(capsys, "verify", "--p00", "0.5", "--p11", "0.5",
                                "--budget", "quick")
     assert code == EXIT_OK
     validate(report, "verify")
     status = {item["name"]: item["status"] for item in report["items"]}
+    # only the variance constant is undefined; the oracle sd scales clt_ks
     assert status["variance_fit"] == "skipped"
-    assert status["clt_ks"] == "skipped"
-    for name in ("spectral", "mean", "poisson", "contraction"):
+    for name in ("spectral", "mean", "poisson", "clt_ks", "contraction"):
         assert status[name] == "pass"
     assert report["passed"] is True
     assert [item["name"] for item in report["items"]] == [
         "spectral", "mean", "poisson", "variance_fit", "clt_ks", "contraction"]
+    assert_margins_decide(report["items"])
+
+
+def test_verify_quick_margins(capsys):
+    code, report, _ = run_json(capsys, "verify", *CHAIN, "--budget", "quick")
+    assert code == EXIT_OK
+    validate(report, "verify")
+    assert all(item["status"] == "pass" for item in report["items"])
+    assert_margins_decide(report["items"])
+
+
+def test_verify_failed_item_exits_one_with_margin(capsys, monkeypatch):
+    monkeypatch.setattr(trielab.cli, "check_mean_decomposition", lambda *args: 1.0)
+    code, report, err = run_json(capsys, "verify", *CHAIN, "--budget", "quick")
+    assert code == EXIT_VERIFY_FAILED
+    validate(report, "verify")
+    assert report["passed"] is False
+    poisson = next(item for item in report["items"] if item["name"] == "poisson")
+    assert poisson["status"] == "fail"
+    assert poisson["margin"] == pytest.approx(1e6)
+    assert poisson["detail"] == "worst residual 1.00e+00 (limit 1e-06)"
+    assert "'poisson'" in err
+    assert_margins_decide(report["items"])
 
 
 def test_cli_imports_no_scipy(tmp_path):

@@ -11,6 +11,7 @@ from trielab.markov_source import MarkovChain
 from trielab.poisson_analysis import (
     HorizonTooSmall,
     _weights,
+    _window,
     check_mean_decomposition,
     check_variance_decomposition,
     poissonized_mean,
@@ -22,14 +23,16 @@ from trielab.spectral import sigma_squared
 from poisson_sim import simulate_epl_poisson
 
 
-def test_weights_match_scipy_pmf(table67):
-    for lam in (7.0, 100.0, 200.0):
-        pv = poissonized_mean(table67, 0, lam)
-        lo, hi = pv.window
+def test_weights_match_scipy_pmf():
+    for lam in (7.0, 100.0, 200.0, 1e4, 3e4):
+        lo, hi = _window(lam, 10**5)
         w = _weights(lam, lo, hi)
-        exact = stats.poisson.pmf(np.arange(lo, hi + 1), lam)
-        assert np.max(np.abs(w - exact)) <= 5e-14
-        assert np.max(np.abs(w - exact) / np.maximum(exact, 1e-300)) <= 1e-12
+        if lam <= 200.0:
+            # elementwise only here: at 3e4 scipy's own pmf drifts up to
+            # 1.4e-10 relative in the far window
+            exact = stats.poisson.pmf(np.arange(lo, hi + 1), lam)
+            assert np.max(np.abs(w - exact)) <= 5e-14
+            assert np.max(np.abs(w - exact) / np.maximum(exact, 1e-300)) <= 1e-12
         covered = stats.poisson.cdf(hi, lam) - stats.poisson.cdf(lo - 1, lam)
         assert abs(w.sum() - covered) <= 1e-13
 
@@ -93,6 +96,14 @@ def test_decomposition_residuals(table67):
         for i in (0, 1):
             assert check_mean_decomposition(table67, i, lam) <= 1e-6
             assert check_variance_decomposition(table67, i, lam) <= 1e-6
+
+
+def test_mean_decomposition_at_large_rate(chain67):
+    # the window at lam = 1e4 reaches n = 11212; measured residuals are
+    # 1.8e-16 for both states, so the bound leaves 50x headroom
+    table = compute_moment_table(chain67, 11300)
+    for i in (0, 1):
+        assert check_mean_decomposition(table, i, 1e4) <= 1e-14
 
 
 def test_fair_chain_states_agree():
