@@ -38,7 +38,7 @@ def main() -> int:
         k += 1
     if chain.is_asymmetric:
         lo, hi = 64, min(4096, args.n_max)
-        steps = np.abs(np.diff(error_terms(table, H)[:, lo : hi + 1], axis=1))
+        steps = np.abs(np.diff(error_terms(table)[:, lo : hi + 1], axis=1))
         print(f"max one-step increment of f on [{lo}, {hi}]: {steps.max():.4f}")
     return 0
 

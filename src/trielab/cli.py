@@ -32,7 +32,6 @@ from trielab.clt_harness import (
     fit_variance_growth,
     ks_distance,
     simulate_epl,
-    standardization_parameters,
     standardize,
     summary,
     uniform_cloud,
@@ -57,14 +56,7 @@ from trielab.poisson_analysis import (
     check_rate,
     check_variance_decomposition,
 )
-from trielab.spectral import (
-    contraction_factor,
-    lambda_derivatives,
-    lambda_of_s,
-    multivariate_condition_holds,
-    sigma_squared,
-    spectral_constants,
-)
+from trielab.spectral import lambda_derivatives, lambda_of_s, sigma_squared, spectral_constants
 from trielab.trie import DepthExceeded, build_trie
 
 EXIT_OK = 0
@@ -174,19 +166,7 @@ def schema_for(subcommand: str) -> dict:
 
 def _cmd_analyze(args) -> int:
     chain = _chain_of(args)
-    consts = spectral_constants(chain)
-    fields = {
-        "H": consts.H,
-        "H0": consts.H0,
-        "H1": consts.H1,
-        "pi0": consts.pi0,
-        "pi1": consts.pi1,
-        "lambda_dot": consts.lam_dot_m1,
-        "lambda_ddot": consts.lam_ddot_m1,
-        "sigma2": consts.sigma2_explicit,
-        "xi_s3": contraction_factor(chain, 3.0),
-        "cond39": multivariate_condition_holds(chain),
-    }
+    fields = spectral_constants(chain)
     lines = [f"{k} = {v}" for k, v in fields.items()]
     return _finish(args, chain, {}, fields, lines)
 
@@ -194,7 +174,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_oracle(args) -> int:
     chain = _chain_of(args)
     table = _table(chain, args.n_max)
-    f = error_terms(table, entropy_rate(chain)[0])
+    f = error_terms(table)
     columns = {"nu0": table.nu[0], "nu1": table.nu[1], "var0": table.var[0],
                "var1": table.var[1], "f0": f[0], "f1": f[1]}
     # memoryviews read out plain floats, which the CSV writer formats faster
@@ -243,9 +223,12 @@ def _cmd_simulate(args) -> int:
         return EXIT_USAGE
     check_threads(args.threads)
     table = _table(chain, max(16, args.n))
-    sig2 = sigma_squared(chain)[1] if args.standardize == "asymptotic" else 0.0
+    center = mean_for_initial(chain, table, args.n)
+    if args.standardize == "oracle":
+        scale = math.sqrt(variance_for_initial(chain, table, args.n))
+    else:
+        scale = math.sqrt(sigma_squared(chain)[1] * args.n * math.log(args.n))
     cloud = simulate_epl(chain, args.n, args.m, args.seed, threads=args.threads)
-    center, scale = standardization_parameters(chain, table, args.n, args.standardize, sig2)
     std = standardize(cloud, center, scale)
     moments = summary(std)
     config = {**chain.as_dict(), "n": args.n, "m": args.m, "seed": args.seed,
@@ -359,8 +342,8 @@ def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int
     # 5. CLT normality, standardized with the exact oracle sd
     n, m, limit = (512, 800, 0.06) if quick else (2048, 2000, 0.05)
     cloud = simulate_epl(chain, n, m, replicate_seed(seed, 5), threads=threads)
-    center, scale = standardization_parameters(chain, table, n, "oracle", 0.0)
-    ks = ks_distance(standardize(cloud, center, scale))
+    ks = ks_distance(standardize(cloud, mean_for_initial(chain, table, n),
+                                 math.sqrt(variance_for_initial(chain, table, n))))
     yield "clt_ks", ks, limit, f"ks {ks:.4f} at n={n}, m={m}"
 
     # 6. contraction iteration of the map on centered laws from standardized

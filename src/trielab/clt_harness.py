@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trielab.exact_moments import MomentTable, mean_for_initial, variance_for_initial
+from trielab.exact_moments import MomentTable, variance_for_initial
 from trielab.markov_source import MarkovChain, replicate_seed, stream_seeds, uniforms_at
 from trielab.trie import DepthExceeded, batch_external_path_lengths
 
@@ -42,7 +42,6 @@ class SingularFit(ValueError):
     """Variance-growth regression needs >= 4 distinct grid points."""
 
 
-_STANDARDIZATIONS = ("oracle", "asymptotic")
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -89,7 +88,8 @@ def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0
     The first symbol follows the chain's mu0; a chain with mu0 = 1 - i starts
     every string in state i.  Thread-parallel over replicate blocks; the
     counter-based seeding makes the output identical for any thread count.
-    threads = 0 picks min(cpu count, 8); a negative count is a ValueError.
+    threads = 0 picks min(cpu count, 8), an explicit count is clamped to the
+    cpu count, and a negative count is a ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -98,9 +98,7 @@ def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0
     check_threads(threads)
     seeds = replicate_seed(seed, np.arange(m))
     sizes = np.full(m, n, dtype=np.int64)
-    if threads == 0:
-        threads = min(os.cpu_count() or 1, 8)
-    threads = max(1, min(threads, m))
+    threads = max(1, min(threads or 8, os.cpu_count() or 1, m))
     raw = np.empty(m, dtype=np.int64)
     ranges = [
         (start, min(start + math.ceil(m / threads), m))
@@ -130,24 +128,6 @@ def standardize(x: np.ndarray, center: float, scale: float) -> np.ndarray:
     if not (np.isfinite(scale) and scale > 0.0):
         raise BadScale(f"scale must be positive and finite, got {scale}")
     return (x - center) / scale
-
-
-def standardization_parameters(
-    chain: MarkovChain, table: MomentTable, n: int, mode: str, sigma2: float
-) -> tuple[float, float]:
-    """(center, scale) of the n-string law; center is always the exact mean.
-
-    The scale is the oracle-exact standard deviation for mode "oracle" and
-    the asymptotic sqrt(sigma2 n log n) for mode "asymptotic".
-    """
-    if mode not in _STANDARDIZATIONS:
-        raise ValueError(f"standardization must be one of {_STANDARDIZATIONS}")
-    center = mean_for_initial(chain, table, n)
-    if mode == "oracle":
-        scale = math.sqrt(variance_for_initial(chain, table, n))
-    else:
-        scale = math.sqrt(sigma2 * n * math.log(n))
-    return center, scale
 
 
 def ks_distance(x: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trielab.markov_source import MarkovChain
+from trielab.markov_source import MarkovChain, entropy_rate
 
 # construction is O(N^1.5) time but O(N) memory; the cap keeps a typo like
 # N=10**9 from looking like a hang
@@ -210,10 +210,11 @@ def variance_for_initial(chain: MarkovChain, table: MomentTable, n: int) -> floa
     return within + between
 
 
-def error_terms(table: MomentTable, entropy: float) -> np.ndarray:
-    """f_i[n] = nu_i[n] - (1/H) n log n, shape (2, N+1), with 0 log 0 := 0."""
+def error_terms(table: MomentTable) -> np.ndarray:
+    """f_i[n] = nu_i[n] - (1/H) n log n, shape (2, N+1), with 0 log 0 := 0 and
+    H the entropy rate of the table's chain."""
     ns = np.arange(table.N + 1, dtype=np.float64)
     lead = np.zeros_like(ns)
-    lead[1:] = ns[1:] * np.log(ns[1:]) / entropy
+    lead[1:] = ns[1:] * np.log(ns[1:]) / entropy_rate(table.chain)[0]
     return table.nu - lead
 

@@ -19,7 +19,6 @@ both and comparing is the module's built-in error bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from trielab.markov_source import MarkovChain, entropy_rate, stationary_distribution
 
@@ -101,37 +100,21 @@ def multivariate_condition_holds(chain: MarkovChain) -> bool:
     return hi**1.5 + (1.0 - lo) ** 1.5 < 1.0
 
 
-@dataclass(frozen=True)
-class SpectralConstants:
-    """Bundle of the analytic constants for one chain."""
-
-    chain: MarkovChain
-    H: float
-    H0: float
-    H1: float
-    pi0: float
-    pi1: float
-    lam_dot_m1: float
-    lam_ddot_m1: float
-    sigma2_eigen: float
-    sigma2_explicit: float
-
-
-def spectral_constants(chain: MarkovChain) -> SpectralConstants:
-    """Every constant of the chain; both sigma^2 forms read 0.0 on a symmetric chain."""
+def spectral_constants(chain: MarkovChain) -> dict:
+    """analyze's report fields, by their report names; sigma2 (explicit form)
+    reads 0.0 on a symmetric chain."""
     h, h0, h1 = entropy_rate(chain)
     pi0, pi1 = stationary_distribution(chain)
     lam_dot, lam_ddot = lambda_derivatives(chain)
-    s2_eigen, s2_explicit = sigma_squared(chain) if chain.is_asymmetric else (0.0, 0.0)
-    return SpectralConstants(
-        chain=chain,
-        H=float(h),
-        H0=float(h0),
-        H1=float(h1),
-        pi0=pi0,
-        pi1=pi1,
-        lam_dot_m1=lam_dot,
-        lam_ddot_m1=lam_ddot,
-        sigma2_eigen=s2_eigen,
-        sigma2_explicit=s2_explicit,
-    )
+    return {
+        "H": float(h),
+        "H0": float(h0),
+        "H1": float(h1),
+        "pi0": pi0,
+        "pi1": pi1,
+        "lambda_dot": lam_dot,
+        "lambda_ddot": lam_ddot,
+        "sigma2": sigma_squared(chain)[1] if chain.is_asymmetric else 0.0,
+        "xi_s3": contraction_factor(chain, 3.0),
+        "cond39": multivariate_condition_holds(chain),
+    }

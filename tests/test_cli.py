@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,8 +14,9 @@ import pytest
 import trielab
 import trielab.cli
 from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, schema_for
-from trielab.exact_moments import compute_moment_table
+from trielab.exact_moments import compute_moment_table, mean_for_initial, variance_for_initial
 from trielab.markov_source import MarkovChain
+from trielab.spectral import sigma_squared, spectral_constants
 
 CHAIN = ["--p00", "0.6", "--p11", "0.7"]
 SUBCOMMANDS = ("analyze", "oracle", "poisson-check", "simulate",
@@ -113,6 +115,11 @@ def test_analyze_json(capsys):
     assert report["sigma2"] == pytest.approx(0.44566789578520777, abs=1e-10)
     assert report["cond39"] is True
     assert report["manifest"]["subcommand"] == "analyze"
+    # the report's fields are the library's dict as it is, in its order
+    consts = spectral_constants(MarkovChain(0.5, 0.6, 0.7))
+    assert list(consts) == ["H", "H0", "H1", "pi0", "pi1", "lambda_dot", "lambda_ddot",
+                            "sigma2", "xi_s3", "cond39"]
+    assert {k: report[k] for k in consts} == consts
 
 
 def test_analyze_symmetric_chain_reports_zero_sigma2():
@@ -293,6 +300,25 @@ def test_simulate_json_and_samples(tmp_path, capsys):
     assert len(body) == 1 + 300  # manifest line + one value per replicate
     float(body[1])  # raw values, no header
     assert_rerun_identical(capsys, samples, body, *argv)
+
+
+@pytest.mark.parametrize("mu0", ["0.5", "1"])
+def test_simulate_reports_exact_center_and_mode_scale(capsys, mu0):
+    # center is the exact mean in both modes; the scale is the oracle sd or
+    # the asymptotic sqrt(sigma^2 n ln n)
+    chain, n = MarkovChain(float(mu0), 0.6, 0.7), 64
+    table = compute_moment_table(chain, n)
+    scales = {"oracle": math.sqrt(variance_for_initial(chain, table, n)),
+              "asymptotic": math.sqrt(sigma_squared(chain)[1] * n * math.log(n))}
+    for mode, scale in scales.items():
+        code, report, _ = run_json(capsys, "simulate", "--mu0", mu0, *CHAIN, "--n", str(n),
+                                   "--m", "50", "--standardize", mode)
+        assert code == EXIT_OK
+        assert report["center"] == mean_for_initial(chain, table, n)
+        assert report["scale"] == scale
+        if chain.mu0 == 1.0:
+            # every string starts in state 0: the oracle's row 0 exactly
+            assert report["center"] == table.nu[0][n]
 
 
 def test_simulate_depth_cap_exits_numeric(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+import trielab.clt_harness
 from trielab.clt_harness import (
     _normal_cdf,
     BadScale,
@@ -15,12 +16,11 @@ from trielab.clt_harness import (
     fit_variance_growth,
     ks_distance,
     simulate_epl,
-    standardization_parameters,
     standardize,
     summary,
     uniform_cloud,
 )
-from trielab.exact_moments import mean_for_initial
+from trielab.exact_moments import mean_for_initial, variance_for_initial
 from trielab.markov_source import MarkovChain, stream_seeds, uniforms_at
 from trielab.spectral import sigma_squared
 
@@ -32,21 +32,19 @@ def big_run(chain67, table67, scale_gap67):
     """One large standardized run shared by the distribution tests."""
     sig2 = scale_gap67["sigma2"]
     cloud = simulate_epl(chain67, 2048, 2000, 20240817)
-    center, scale_asym = standardization_parameters(chain67, table67, 2048, "asymptotic", sig2)
-    _, scale_oracle = standardization_parameters(chain67, table67, 2048, "oracle", sig2)
+    center = mean_for_initial(chain67, table67, 2048)
     return {
-        "asymptotic": standardize(cloud, center, scale_asym),
-        "oracle": standardize(cloud, center, scale_oracle),
+        "asymptotic": standardize(cloud, center, math.sqrt(sig2 * 2048 * math.log(2048))),
+        "oracle": standardize(cloud, center,
+                              math.sqrt(variance_for_initial(chain67, table67, 2048))),
     }
 
 
-def test_config_validation(chain67, table67):
+def test_config_validation(chain67):
     with pytest.raises(ValueError):
         simulate_epl(chain67, -1, 10, 0)
     with pytest.raises(ValueError):
         simulate_epl(chain67, 8, 1, 0)
-    with pytest.raises(ValueError):
-        standardization_parameters(chain67, table67, 8, "none", 1.0)
 
 
 def test_negative_threads_rejected(chain67):
@@ -57,7 +55,26 @@ def test_negative_threads_rejected(chain67):
     assert (auto == simulate_epl(chain67, 8, 10, 0, threads=1)).all()
 
 
-def test_simulation_thread_invariance(chain67):
+def test_explicit_threads_clamped_to_cpu_count(chain67, monkeypatch):
+    # the count comes from outside the program: 64 must not start 64 threads
+    # on a 2-core machine, and the clamp must not change the samples
+    seen = []
+
+    class Recording(trielab.clt_harness.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(trielab.clt_harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(trielab.clt_harness, "ThreadPoolExecutor", Recording)
+    many = simulate_epl(chain67, 8, 64, 0, threads=64)
+    assert seen and max(seen) <= 2
+    assert (many == simulate_epl(chain67, 8, 64, 0, threads=1)).all()
+
+
+def test_simulation_thread_invariance(chain67, monkeypatch):
+    # four blocks on any machine, though threads are clamped to the core count
+    monkeypatch.setattr(trielab.clt_harness.os, "cpu_count", lambda: 4)
     single = simulate_epl(chain67, 64, 400, 7, threads=1)
     multi = simulate_epl(chain67, 64, 400, 7, threads=4)
     again = simulate_epl(chain67, 64, 400, 7, threads=4)
@@ -137,20 +154,6 @@ def test_standardize_arithmetic_and_bad_scale():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(BadScale):
             standardize(cloud, 0.0, bad)
-
-
-def test_standardization_parameters(chain67, table67):
-    sig2 = sigma_squared(chain67)[1]
-    n = 100
-    # a delta initial law mu0 = 1 - i gives the oracle's row i exactly
-    for i in (0, 1):
-        chain = replace(chain67, mu0=1.0 - i)
-        center, scale = standardization_parameters(chain, table67, n, "oracle", sig2)
-        assert center == table67.nu[i][n]
-        assert scale == math.sqrt(table67.var[i][n])
-    center, scale = standardization_parameters(chain67, table67, n, "asymptotic", sig2)
-    assert center == pytest.approx(mean_for_initial(chain67, table67, n), abs=1e-12)
-    assert scale == pytest.approx(math.sqrt(sig2 * n * math.log(n)), rel=1e-12)
 
 
 def test_ks_distance_known_cases():

@@ -244,7 +244,7 @@ def test_for_initial_horizon_errors(chain67):
 def test_error_terms_contents(chain67):
     table = compute_moment_table(chain67, 256)
     H, _, _ = entropy_rate(chain67)
-    f = error_terms(table, H)
+    f = error_terms(table)
     assert f.shape == (2, 257)
     n = 100
     assert f[0][n] == pytest.approx(table.nu[0][n] - n * math.log(n) / H, abs=1e-10)

@@ -30,6 +30,27 @@ def test_src_holds_only_referenced_definitions():
     assert unreferenced_definitions(Path(trielab.__file__).parent) == []
 
 
+def unused_imports(package: Path) -> list[str]:
+    """`module.name` of each name a top-level import binds that the module
+    itself never mentions; `__init__.py` imports to re-export and is skipped."""
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [(alias.asname or alias.name).split(".")[0] for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    return unused
+
+
+def test_src_imports_only_what_it_uses():
+    assert unused_imports(Path(trielab.__file__).parent) == []
+
+
 def unpassed_defaults(package: Path) -> list[str]:
     """`module.function(param)` of each defaulted parameter that no call in the
     package passes, by keyword or by position.  A call is matched to a function
