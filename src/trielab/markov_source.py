@@ -99,16 +99,19 @@ def entropy_rate(chain: MarkovChain) -> tuple[float, float, float]:
 
 # --- counter-based randomness -------------------------------------------------
 
-def _mix64(z: np.ndarray | int) -> np.ndarray:
+def _mix64(z: np.ndarray | int, tmp: np.ndarray | None = None) -> np.ndarray:
     """SplitMix64 finalizer over uint64 (wraparound intended).
 
     A uint64 array is mixed in place; anything else is first copied into a
     fresh, possibly 0-d, uint64 array, so the wraparound stays silent (numpy
-    scalar arithmetic would warn).  One scratch buffer serves all three shifts.
+    scalar arithmetic would warn).  One scratch buffer serves all three shifts:
+    `tmp`, a uint64 array of z's shape, when the caller reuses one, else a
+    fresh one.
     """
     if not (isinstance(z, np.ndarray) and z.dtype == np.uint64):
         z = np.array(z, dtype=np.uint64)
-    tmp = np.empty_like(z)
+    if tmp is None:
+        tmp = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= np.right_shift(z, np.uint64(27), out=tmp)
@@ -117,24 +120,41 @@ def _mix64(z: np.ndarray | int) -> np.ndarray:
     return z
 
 
-def _keyed(seed: int | np.ndarray, indices: int | np.ndarray, salt: int) -> np.ndarray | int:
+def _keyed(
+    seed: int | np.ndarray,
+    indices: int | np.ndarray,
+    salt: int,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray | int:
     """mix(seed ^ mix((i + 1) * salt)) mod 2^64 for each index i; injective in i.
 
     Seeds and indices broadcast; a scalar seed is reduced mod 2^64, so negative
-    seeds are allowed.  Two scalars give a Python int.
+    seeds are allowed.  Two scalars give a Python int.  `out` (uint64, the
+    broadcast shape) receives the result and `tmp` (the same) serves the outer
+    mix, so a grid of sub-seeds can go into reused rows.
     """
     key = np.array(indices, dtype=np.uint64)
     key += np.uint64(1)
     key *= np.uint64(salt)
     if np.isscalar(seed):
         seed = np.uint64(int(seed) & _MASK64)
-    key = _mix64(np.asarray(seed, dtype=np.uint64) ^ _mix64(key))
+    key = _mix64(np.bitwise_xor(np.asarray(seed, dtype=np.uint64), _mix64(key), out=out), tmp)
     return key if key.ndim else int(key)
 
 
-def stream_seeds(seed: int | np.ndarray, indices: int | np.ndarray) -> np.ndarray | int:
-    """Per-stream sub-seed = mix(seed, stream index); seeds and indices broadcast."""
-    return _keyed(seed, indices, _STREAM_SALT)
+def stream_seeds(
+    seed: int | np.ndarray,
+    indices: int | np.ndarray,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray | int:
+    """Per-stream sub-seed = mix(seed, stream index); seeds and indices broadcast.
+
+    `out` and `tmp` are optional uint64 buffers of the broadcast shape, as in
+    `_keyed`; with `out` the result is `out` itself.
+    """
+    return _keyed(seed, indices, _STREAM_SALT, out, tmp)
 
 
 def replicate_seed(seed: int, replicate: int | np.ndarray) -> np.ndarray | int:
@@ -142,17 +162,31 @@ def replicate_seed(seed: int, replicate: int | np.ndarray) -> np.ndarray | int:
     return _keyed(seed, replicate, _REPLICATE_SALT)
 
 
-def uniforms_at(sub_seeds: int | np.ndarray, positions: int | np.ndarray) -> np.ndarray:
+def uniforms_at(
+    sub_seeds: int | np.ndarray,
+    positions: int | np.ndarray,
+    out: np.ndarray | None = None,
+    tmp: np.ndarray | None = None,
+) -> np.ndarray:
     """Uniform in [0, 1 - 2^-53] driving bit `positions` of stream `sub_seeds`.
 
     A pure function of (sub-seed, position); the arguments broadcast, so one
     call serves many streams at one position or one stream at many positions.
+    `out` (float64) receives the uniforms and `tmp` (uint64) is the mixer's
+    scratch, both of the broadcast shape; a caller drawing level after level
+    passes the same buffers each time instead of allocating three arrays a call.
     """
     z = np.array(positions, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
-    u64 = _mix64(z + np.asarray(sub_seeds, dtype=np.uint64))
-    u64 >>= np.uint64(11)
-    return u64 * 2.0**-53
+    # the mixed words go into out's own bytes, and the shifted ones into tmp,
+    # since numpy copies an operand that aliases the output under another dtype
+    u64 = np.add(z, np.asarray(sub_seeds, dtype=np.uint64),
+                 out=None if out is None else out.view(np.uint64))
+    if tmp is None:
+        tmp = np.empty_like(u64)
+    u64 = _mix64(u64, tmp)
+    np.right_shift(u64, np.uint64(11), out=tmp)
+    return np.multiply(tmp, 2.0**-53, out=out)
 
 
 START = 2  # bit-rule state before the first bit

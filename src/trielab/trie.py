@@ -39,13 +39,23 @@ from trielab.markov_source import (
 # memory and cost about 1.4 times as much per string (n = 2048 on a 2-core
 # Xeon); the chunk also bounds the kernel's memory to a few MB whatever the
 # total, however ragged the sizes.
+#
+# Those per-string arrays are four uint64 rows and one bool row, allocated once
+# per call as wide as any of its chunks can be (2.06 MiB at 2**16 strings) and
+# reused by every level of every chunk.  Allocated afresh on each level, the 512 KiB
+# arrays went back to the OS when freed (glibc trims its heap) and were faulted
+# in again on the next level: verify's mean item (n = 16, 256, 1024 at
+# m = 20000, 2 threads) took 402,000-613,000 minor faults and 1.5-1.7 s of
+# system time, against 6,400-8,300 faults and 0.3-0.55 s with the rows
+# (2-core Xeon, glibc 2.36).
 _CHUNK_ELEMENTS = 1 << 16
-# On a level where strings leave, a boolean mask compacts the two per-string
-# arrays faster than flatnonzero and two takes only when nearly all strings
-# stay: at 65,536 strings, 87 against 129 us at 99% and 231 against 123 us at
-# 90% (2-core Xeon, best of 7, page faults excluded); the two cost the same
-# near 97%.
-_MASK_SURVIVAL = 0.97
+# On a level where strings leave, the survivors past the new end move into
+# the places the leavers held before it, which costs work in proportion to the
+# leavers; a flatnonzero and two takes into the spare rows cost work in
+# proportion to the survivors.  At 65,536 strings, 64 against 201 us at 99%
+# survival, 143 against 182 us at 90% and the same near 85% (2-core Xeon,
+# median of 200, randomly placed leavers).
+_FILL_SURVIVAL = 0.9
 
 
 class DepthExceeded(RuntimeError):
@@ -136,8 +146,14 @@ def batch_external_path_lengths(
         raise ValueError("sizes and rep_seeds must have matching shapes")
     if (sizes < 0).any():
         raise ValueError("sizes must be >= 0")
-    max_depth = default_max_depth(int(sizes.max(initial=0)))
+    largest = int(sizes.max(initial=0))
+    max_depth = default_max_depth(largest)
     total = np.zeros(len(sizes), dtype=np.int64)
+    # the rows every level of every chunk works in, as wide as the widest
+    # chunk's (replicate, index) grid can be
+    width = max(min(len(sizes) * largest, _CHUNK_ELEMENTS), largest)
+    rows = np.empty((4, width), dtype=np.uint64)
+    flags = np.empty(width, dtype=bool)
     bounds = sizes.tolist()
     start = 0
     while start < len(bounds):
@@ -148,7 +164,8 @@ def batch_external_path_lengths(
                 break
             stop, top = stop + 1, widest
         _epl_chunk(
-            chain, sizes[start:stop], rep_seeds[start:stop], max_depth, total[start:stop], start
+            chain, sizes[start:stop], rep_seeds[start:stop], max_depth, total[start:stop], start,
+            rows, flags
         )
         start = stop
     return total
@@ -161,6 +178,8 @@ def _epl_chunk(
     max_depth: int,
     out: np.ndarray,
     replicate_offset: int,
+    rows: np.ndarray,
+    flags: np.ndarray,
 ) -> None:
     # Per string only its sub-seed and doubled group key `key2` are carried.
     # Groups hold >= 2 strings; group g has key2 = 2g, belongs to replicate
@@ -169,6 +188,12 @@ def _epl_chunk(
     # key2 + bit; the relabel table sends it to 2 * rank of that child group
     # among the children with >= 2 members, so groups stay sorted by
     # replicate, and to -1 where the child holds the string alone.
+    #
+    # Every per-string array lives in the first `live` entries of a row: the
+    # sub-seeds in s_row, the keys (as int64) in k_row, while a_row and b_row
+    # hold the level's uniforms, thresholds and relabel table.  The four
+    # uint64 rows swap these roles instead of being freed and allocated
+    # again, and `flags` holds the per-string booleans.
     thresholds = np.array(bit_thresholds(chain))
     grep = np.flatnonzero(sizes >= 2)
     gsize = sizes[grep]
@@ -178,16 +203,28 @@ def _epl_chunk(
     # of index i is computed once for its whole column; rows are then cut to
     # their replicate's size
     top = int(gsize.max())
-    sub = stream_seeds(rep_seeds[grep, None], np.arange(top))
-    sub = sub[np.arange(top) < gsize[:, None]] if gsize.min() < top else sub.ravel()
-    key2 = np.repeat(np.arange(0, 2 * grep.size, 2), gsize)
+    grid = (grep.size, top)
+    cells = grep.size * top
+    sub = stream_seeds(rep_seeds[grep, None], np.arange(top),
+                       out=rows[2, :cells].reshape(grid), tmp=rows[0, :cells].reshape(grid))
+    key2 = rows[3, :cells].view(np.int64).reshape(grid)
+    key2[...] = np.arange(0, 2 * grep.size, 2)[:, None]
+    live = int(gsize.sum())
+    if live < cells:
+        cut = np.arange(top) < gsize[:, None]
+        rows[0, :live] = sub[cut]
+        rows[1, :live].view(np.int64)[...] = key2[cut]
+        s_row, k_row, a_row, b_row = rows
+    else:
+        s_row, k_row, a_row, b_row = rows[2], rows[3], rows[0], rows[1]
     gthr = np.full(2 * grep.size, thresholds[START])
     # strings of each replicate still in a group; they change only on levels
     # where strings leave (float sums stay exact far beyond any EPL here)
     alive_per_rep = np.where(sizes >= 2, sizes, 0)
     epl = np.zeros(len(sizes))
     depth = 0
-    while sub.size:
+    while live:
+        sub, key2 = s_row[:live], k_row[:live].view(np.int64)
         if depth >= max_depth:
             # name the group build_trie would meet first: groups sit in prefix
             # order and build_trie pops the 1-half first, so it is the
@@ -199,27 +236,41 @@ def _epl_chunk(
                 stream_seeds(rep_seeds[bad], np.arange(sizes[bad])), sub[key2 == 2 * last]
             ))[0]
             raise DepthExceeded(names, depth, replicate_offset + bad)
-        # everyone left shares a group, so everyone consumes one symbol here
+        # everyone left shares a group, so everyone consumes one symbol here;
+        # the child keys are formed in place
         epl += alive_per_rep
-        # key2 is this level's own array (it is rebuilt below), so the child
-        # keys are formed in place
-        pair = key2
-        pair += uniforms_at(sub, depth) >= gthr.take(key2)
-        counts = np.bincount(pair, minlength=2 * grep.size)
+        u = uniforms_at(sub, depth, out=a_row[:live].view(np.float64), tmp=b_row[:live])
+        key2 += np.greater_equal(
+            u, gthr.take(key2, out=b_row[:live].view(np.float64), mode="clip"),
+            out=flags[:live])
+        counts = np.bincount(key2, minlength=2 * grep.size)
         alive = np.flatnonzero(counts >= 2)
-        lookup = np.full(counts.size, -1)
+        lookup = a_row[:counts.size].view(np.int64)
+        lookup.fill(-1)
         lookup[alive] = np.arange(0, 2 * alive.size, 2)
-        key2 = lookup.take(pair)
+        key2 = lookup.take(key2, out=b_row[:live].view(np.int64), mode="clip")
+        k_row, b_row = b_row, k_row
         grep, gsize, gthr = grep[alive >> 1], counts[alive], thresholds[alive & 1].repeat(2)
         # compact only on levels where strings left
         survivors = int(gsize.sum())
-        if survivors < sub.size:
+        if survivors < live:
             alive_per_rep = np.bincount(grep, weights=gsize, minlength=len(sizes))
-            if survivors >= _MASK_SURVIVAL * sub.size:
-                keep = key2 >= 0
-                sub, key2 = sub[keep], key2[keep]
+            if survivors >= _FILL_SURVIVAL * live:
+                # the few survivors behind position `survivors` move into the
+                # places of the strings that left before it; order is free,
+                # since nothing downstream depends on where a string sits
+                gone = np.flatnonzero(np.less(key2, 0, out=flags[:live]))
+                holes = gone[:np.searchsorted(gone, survivors)]
+                tail = flags[survivors:live]
+                moved = np.flatnonzero(np.logical_not(tail, out=tail))
+                moved += survivors
+                sub[holes] = sub[moved]
+                key2[holes] = key2[moved]
             else:
-                keep = np.flatnonzero(key2 >= 0)
-                sub, key2 = sub.take(keep), key2.take(keep)
+                keep = np.flatnonzero(np.greater_equal(key2, 0, out=flags[:live]))
+                sub.take(keep, out=a_row[:survivors], mode="clip")
+                key2.take(keep, out=b_row[:survivors].view(np.int64), mode="clip")
+                s_row, k_row, a_row, b_row = a_row, b_row, s_row, k_row
+            live = survivors
         depth += 1
     out += epl.astype(np.int64)

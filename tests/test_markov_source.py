@@ -275,3 +275,32 @@ def test_streams_match_pinned_values():
             MarkovChain(mu0, 0.6, 0.7), np.array([2, 100, 2048]), seeds
         )
         assert tuple(got.tolist()) == epls
+
+
+def test_output_buffers_change_no_bit():
+    # the kernel hands the generator its own rows; the numbers must be the
+    # allocating calls' bit for bit, written into and returned as `out` itself
+    x = np.arange(1000, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    tmp = np.full_like(x, 12345)
+    assert (_mix64(x.copy(), tmp) == _mix64(x.copy())).all()
+    subs = stream_seeds(20240817, np.array(_PINNED_INDICES))
+    for position, values in _PINNED_UNIFORMS.items():
+        out, tmp = np.full(3, np.nan), np.empty(3, dtype=np.uint64)
+        got = uniforms_at(subs, position, out=out, tmp=tmp)
+        assert got is out
+        assert [float(u).hex() for u in out] == list(values)
+    for seed, words in _PINNED_STREAM_SEEDS.items():
+        out, tmp = np.zeros(3, dtype=np.uint64), np.empty(3, dtype=np.uint64)
+        assert stream_seeds(seed, np.array(_PINNED_INDICES), out=out, tmp=tmp) is out
+        assert tuple(int(s) for s in out) == words
+    # the kernel's (replicate seed, stream index) grid, written into row views
+    seeds = replicate_seed(3, np.arange(7))
+    rows = np.empty((2, 7 * 50), dtype=np.uint64)
+    grid = stream_seeds(seeds[:, None], np.arange(50),
+                        out=rows[0].reshape(7, 50), tmp=rows[1].reshape(7, 50))
+    assert grid.base is rows and (grid == stream_seeds(seeds[:, None], np.arange(50))).all()
+    # uniforms of the grid's strings at one position, through float64 and
+    # uint64 views of two rows
+    flat = grid.ravel().copy()
+    u = uniforms_at(flat, 17, out=rows[0].view(np.float64), tmp=rows[1])
+    assert u.base is rows and (u == uniforms_at(flat, 17)).all()

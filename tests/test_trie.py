@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from trielab.markov_source import (
     replicate_seed,
     stream_seeds,
 )
+import trielab.trie
 from trielab.trie import (
     DepthExceeded,
     batch_external_path_lengths,
@@ -149,6 +152,70 @@ def test_batch_kernel_chunking_at_default_size():
         default = batch_external_path_lengths(chain, sizes, seeds)
         assert (default == _one_call_per_replicate(chain, sizes, seeds)).all()
         assert (default[sizes <= 1] == 0).all()
+
+
+# widest first, so the rows serve ever narrower chunks after the lone 1500
+# under a 1024-string chunk: ragged chunks, an equal-size one (64 x 16) and
+# chunks of nothing but empty and singleton tries
+_RAGGED = [1500, 900, 600, 37, 2, 1, 0, 300, 2, 5, 0, 64, 3, 200, 1] + [16] * 64 + [1, 0, 2]
+
+
+def test_batch_kernel_reuses_rows_across_narrowing_chunks(chain67, monkeypatch):
+    monkeypatch.setattr(trielab.trie, "_CHUNK_ELEMENTS", 1024)
+    sizes = np.array(_RAGGED)
+    seeds = replicate_seed(21, np.arange(sizes.size))
+    got = batch_external_path_lengths(chain67, sizes, seeds)
+    want = [build_trie(generate_strings(chain67, int(n), int(s))).epl
+            for n, s in zip(sizes, seeds)]
+    assert got.tolist() == want
+
+
+def test_batch_kernel_draws_once_per_live_string_and_level(chain67, monkeypatch):
+    # the contract perfbench's probe reads: one uniforms_at call a level, at a
+    # scalar position, over exactly the strings still in a group, so the
+    # uniforms drawn add up to the path lengths returned
+    drawn = []
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        drawn.append((result.size, args[1]))
+        return result
+
+    original = trielab.trie.uniforms_at
+    monkeypatch.setattr(trielab.trie, "uniforms_at", recording)
+    monkeypatch.setattr(trielab.trie, "_CHUNK_ELEMENTS", 1024)
+    sizes = np.array(_RAGGED)
+    epl = batch_external_path_lengths(chain67, sizes, replicate_seed(22, np.arange(sizes.size)))
+    assert len(drawn) > 50
+    assert sum(size for size, _ in drawn) == int(epl.sum())
+    assert all(isinstance(position, int) for _, position in drawn)
+
+
+def test_batch_kernel_threads_share_nothing(chain67):
+    # each call owns its rows: calls running at once, with thread switches
+    # forced often, give what they give one after the other
+    sizes = np.full(300, 512)
+    seeds = [replicate_seed(s, np.arange(sizes.size)) for s in (31, 32, 33)]
+    alone = [batch_external_path_lengths(chain67, sizes, s) for s in seeds]
+    together = [None] * len(seeds)
+    start = threading.Barrier(len(seeds), timeout=60)
+
+    def run(i):
+        start.wait()
+        together[i] = batch_external_path_lengths(chain67, sizes, seeds[i])
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all((a == t).all() for a, t in zip(alone, together))
 
 
 def test_batch_kernel_memory_stays_cache_sized():
