@@ -43,6 +43,23 @@ class HorizonTooLarge(ValueError):
     """Requested table horizon exceeds the cap on the O(N^1.5) construction."""
 
 
+def pmf_from_mode(lo: int, mode: int, hi: int, up, down) -> np.ndarray:
+    """Unnormalized unimodal pmf on lo..hi, anchored at 1 at its mode.
+
+    `up(k)` gives the ratios f(k+1)/f(k) at k = mode..hi-1 and `down(k)` the
+    ratios f(k-1)/f(k) at k = mode..lo+1, each for a float array of k.  Their
+    cumulative products outward from the mode only ever decrease, so nothing
+    overflows and no large logarithms have to cancel.
+    """
+    w = np.empty(hi - lo + 1)
+    w[mode - lo] = 1.0
+    if hi > mode:
+        w[mode - lo + 1 :] = np.cumprod(up(np.arange(mode, hi, dtype=np.float64)))
+    if lo < mode:
+        w[: mode - lo] = np.cumprod(down(np.arange(mode, lo, -1.0)))[::-1]
+    return w
+
+
 def binomial_window(
     n: int, p: float, below: tuple[int, np.ndarray] | None = None
 ) -> tuple[int, np.ndarray]:
@@ -80,16 +97,9 @@ def binomial_window(
     half = int(10.0 * np.sqrt(n * p * q)) + 8
     lo = max(0, mode - half)
     hi = min(n, mode + half)
-    # pmf ratios b(k+1)/b(k) = (n-k)/(k+1) * p/q; cumprod outward from the
-    # mode only ever decreases, so no overflow is possible
-    w = np.empty(hi - lo + 1)
-    w[mode - lo] = 1.0
-    if hi > mode:
-        k = np.arange(mode, hi, dtype=np.float64)
-        w[mode - lo + 1 :] = np.cumprod((n - k) / (k + 1.0) * (p / q))
-    if lo < mode:
-        k = np.arange(mode, lo, -1.0)
-        w[: mode - lo] = np.cumprod(k / (n - k + 1.0) * (q / p))[::-1]
+    # pmf ratios b(k+1)/b(k) = (n-k)/(k+1) * p/q and b(k-1)/b(k) = k/(n-k+1) * q/p
+    w = pmf_from_mode(lo, mode, hi, lambda k: (n - k) / (k + 1.0) * (p / q),
+                      lambda k: k / (n - k + 1.0) * (q / p))
     keep = w >= WEIGHT_FLOOR
     first = int(np.argmax(keep))
     last = len(w) - int(np.argmax(keep[::-1]))
@@ -106,11 +116,6 @@ class MomentTable:
     N: int
     nu: np.ndarray  # shape (2, N+1)
     var: np.ndarray
-
-    @property
-    def m2(self) -> np.ndarray:
-        """Second moments E[L^2] = var + nu^2, derived afresh on each read."""
-        return self.var + self.nu**2
 
 
 def _solve(a01: float, a10: float, s0: float, s1: float,
@@ -173,14 +178,31 @@ def compute_moment_table(chain: MarkovChain, N: int) -> MomentTable:
     return MomentTable(chain, N, nu, var)
 
 
-def _split_weights(n: int, mu0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Window of the B(n, mu0) root split; handles degenerate mu."""
-    if mu0 <= 0.0:
-        return np.array([0]), np.ones(1)
-    if mu0 >= 1.0:
-        return np.array([n]), np.ones(1)
-    k0, w = binomial_window(n, mu0)
-    return np.arange(k0, k0 + len(w)), w
+def mixture(w: np.ndarray, means: np.ndarray, variances: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of a w-mixture of parts with the given means and variances.
+
+    The law of total variance, E[var] + Var(mean), with Var(mean) taken as
+    the w-average of squared deviations from the mixed mean, so every term
+    is nonnegative and nothing cancels.
+    """
+    mean = float(np.dot(w, means))
+    return mean, float(np.dot(w, variances)) + float(np.dot(w, (means - mean) ** 2))
+
+
+def _root_split(chain: MarkovChain, table: MomentTable, n: int) -> tuple[float, float]:
+    """(mean, variance) over the B(n, mu0) root split: the split sending k
+    strings to state 0 contributes nu_0[k] + nu_1[n-k] and var_0[k] + var_1[n-k]."""
+    if not 0 <= n <= table.N:
+        raise ValueError(f"n={n} outside table horizon {table.N}")
+    if chain.mu0 <= 0.0:
+        ks, w = np.array([0]), np.ones(1)
+    elif chain.mu0 >= 1.0:
+        ks, w = np.array([n]), np.ones(1)
+    else:
+        k0, w = binomial_window(n, chain.mu0)
+        ks = np.arange(k0, k0 + len(w))
+    return mixture(w, table.nu[0][ks] + table.nu[1][n - ks],
+                   table.var[0][ks] + table.var[1][n - ks])
 
 
 def mean_for_initial(chain: MarkovChain, table: MomentTable, n: int) -> float:
@@ -190,24 +212,12 @@ def mean_for_initial(chain: MarkovChain, table: MomentTable, n: int) -> float:
     sends every string to state i, so this returns nu_i[n] exactly, as
     `variance_for_initial` returns var_i[n].
     """
-    if not 0 <= n <= table.N:
-        raise ValueError(f"n={n} outside table horizon {table.N}")
-    ks, w = _split_weights(n, chain.mu0)
-    return float(np.dot(w, table.nu[0][ks] + table.nu[1][n - ks]))
+    return _root_split(chain, table, n)[0]
 
 
 def variance_for_initial(chain: MarkovChain, table: MomentTable, n: int) -> float:
     """Total variance over the root split: E[var | split] + var of E[. | split]."""
-    if not 0 <= n <= table.N:
-        raise ValueError(f"n={n} outside table horizon {table.N}")
-    if n < 2:
-        return 0.0
-    ks, w = _split_weights(n, chain.mu0)
-    g = table.nu[0][ks] + table.nu[1][n - ks]
-    within = float(np.dot(w, table.var[0][ks] + table.var[1][n - ks]))
-    center = float(np.dot(w, g))
-    between = float(np.dot(w, (g - center) ** 2))
-    return within + between
+    return _root_split(chain, table, n)[1]
 
 
 def error_terms(table: MomentTable) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 Replacing the fixed string count by N ~ Poisson(lambda) makes the two subtree
 counts independent Poissons, so the mean and variance satisfy exact functional
-equations across the split intensities (lambda p_i0, lambda p_i1).  This
-module evaluates the Poisson mixtures
+equations across the split intensities (lambda p_i0, lambda p_i1).  For one
+state and one rate, `poissonized` sums the Poisson mixtures
 
     m_i(lambda)  = sum_n  e^-lambda lambda^n / n!  nu_i[n]
+    m_i'(lambda) = sum_n  e^-lambda lambda^n / n!  (nu_i[n+1] - nu_i[n])
     v_i(lambda)  = Var of the size-mixed path length
 
-by truncated summation over the window lambda +- (12 sqrt(lambda) + 12) and
-checks the functional equations numerically; their residuals are pure
-truncation noise, which the attached bounds certify at <= 1e-10.
+over one window lambda +- (12 sqrt(lambda) + 12) with one set of weights,
+and attaches the certified truncation bounds of m and v.  The checks below
+test the functional equations numerically; their residuals are pure
+truncation noise, which the bounds certify at <= 1e-10.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trielab.exact_moments import MomentTable
+from trielab.exact_moments import MomentTable, mixture, pmf_from_mode
 
 
 class HorizonTooSmall(ValueError):
@@ -29,12 +31,15 @@ class HorizonTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class PoissonizedValue:
-    """A truncated Poisson mixture with its summation window and error bound."""
+    """m, m' and v of one state at one rate, their window and the bounds of m and v."""
 
     lam: float
-    value: float
+    mean: float
+    slope: float
+    variance: float
     window: tuple[int, int]
-    truncation_bound: float
+    mean_bound: float
+    variance_bound: float
 
 
 def check_rate(lam: float) -> None:
@@ -43,35 +48,26 @@ def check_rate(lam: float) -> None:
         raise ValueError(f"Poisson rate must be finite and > 0, got {lam}")
 
 
-def _window(lam: float, N: int, need_shift: int = 0) -> tuple[int, int]:
-    """Summation window of Poisson(lam) on a table of horizon N."""
+def _window(lam: float, N: int) -> tuple[int, int]:
+    """Summation window (lo, hi) of Poisson(lam); the slope reads the table
+    one slot past hi, so the horizon N must reach hi + 1."""
     check_rate(lam)
     spread = 12.0 * math.sqrt(lam) + 12.0
     hi = math.ceil(lam + spread)
-    if hi + need_shift > N:
-        raise HorizonTooSmall(
-            f"lambda={lam} needs table horizon >= {hi + need_shift}, have {N}"
-        )
+    if hi + 1 > N:
+        raise HorizonTooSmall(f"lambda={lam} needs table horizon >= {hi + 1}, have {N}")
     return max(0, math.floor(lam - spread)), hi
 
 
 def _weights(lam: float, lo: int, hi: int) -> np.ndarray:
     """Poisson(lam) pmf on lo..hi, normalized to sum 1 over the window.
 
-    Ratio recurrence w[n+1] = w[n] * lam/(n+1) moves outward from the
-    in-window mode, anchored at 1, monotonically decreasing in both directions,
-    so nothing overflows and no O(lam ln lam) terms have to cancel.  The mass
+    The ratios w[n+1]/w[n] = lam/(n+1) are multiplied outward from the
+    in-window mode, so no O(lam ln lam) terms have to cancel.  The mass
     outside the window is below 1e-26 of the total, far under rounding.
     """
     mode = min(max(int(lam), lo), hi)
-    w = np.empty(hi - lo + 1)
-    w[mode - lo] = 1.0
-    if hi > mode:
-        n = np.arange(mode, hi, dtype=np.float64)
-        w[mode - lo + 1 :] = np.cumprod(lam / (n + 1.0))
-    if lo < mode:
-        n = np.arange(mode, lo, -1.0)
-        w[: mode - lo] = np.cumprod(n / lam)[::-1]
+    w = pmf_from_mode(lo, mode, hi, lambda n: lam / (n + 1.0), lambda n: n / lam)
     return w / w.sum()
 
 
@@ -101,32 +97,18 @@ def _tail_bound(lam: float, lo: int, hi: int, values: np.ndarray) -> float:
     return bound
 
 
-def poissonized_mean(table: MomentTable, i: int, lam: float) -> PoissonizedValue:
-    """Poisson(lam) mixture of nu_i, windowed, with certified truncation error."""
+def poissonized(table: MomentTable, i: int, lam: float) -> PoissonizedValue:
+    """Poisson(lam) mixtures of state i from one window: the mean m, its
+    derivative m' = E[nu_i(N + 1)] - E[nu_i(N)], the variance E[var | N] +
+    Var(nu_i(N)), and the certified truncation bounds of m and v."""
     lo, hi = _window(lam, table.N)
     w = _weights(lam, lo, hi)
-    value = float(np.dot(w, table.nu[i][lo : hi + 1]))
-    return PoissonizedValue(lam, value, (lo, hi), _tail_bound(lam, lo, hi, table.nu[i]))
-
-
-def poissonized_mean_derivative(table: MomentTable, i: int, z: float) -> float:
-    """d/dz of the Poissonized mean: E[nu_i(N_z + 1)] - E[nu_i(N_z)]."""
-    lo, hi = _window(z, table.N, need_shift=1)
-    w = _weights(z, lo, hi)
-    shifted = float(np.dot(w, table.nu[i][lo + 1 : hi + 2]))
-    plain = float(np.dot(w, table.nu[i][lo : hi + 1]))
-    return shifted - plain
-
-
-def poissonized_variance(table: MomentTable, i: int, lam: float) -> PoissonizedValue:
-    """Variance of the size-mixed path length: E[var | N] + Var(nu(N))."""
-    lo, hi = _window(lam, table.N)
-    w = _weights(lam, lo, hi)
-    nu_slice = table.nu[i][lo : hi + 1]
-    center = float(np.dot(w, nu_slice))
-    value = float(np.dot(w, table.var[i][lo : hi + 1]) + np.dot(w, (nu_slice - center) ** 2))
-    envelope = table.var[i] + table.nu[i] ** 2
-    return PoissonizedValue(lam, value, (lo, hi), _tail_bound(lam, lo, hi, envelope))
+    nu, var = table.nu[i], table.var[i]
+    mean, variance = mixture(w, nu[lo : hi + 1], var[lo : hi + 1])
+    slope = float(np.dot(w, nu[lo + 1 : hi + 2])) - mean
+    return PoissonizedValue(lam, mean, slope, variance, (lo, hi),
+                            _tail_bound(lam, lo, hi, nu),
+                            _tail_bound(lam, lo, hi, var + nu**2))
 
 
 def check_mean_decomposition(table: MomentTable, i: int, lam: float) -> float:
@@ -138,10 +120,10 @@ def check_mean_decomposition(table: MomentTable, i: int, lam: float) -> float:
     chain = table.chain
     p_i0 = chain.p00 if i == 0 else chain.p10
     p_i1 = 1.0 - p_i0
-    lhs = poissonized_mean(table, i, lam).value
+    lhs = poissonized(table, i, lam).mean
     rhs = (
-        poissonized_mean(table, 0, lam * p_i0).value
-        + poissonized_mean(table, 1, lam * p_i1).value
+        poissonized(table, 0, lam * p_i0).mean
+        + poissonized(table, 1, lam * p_i1).mean
         + lam * (1.0 - math.exp(-lam))
     )
     return abs(lhs - rhs) / max(1.0, abs(lhs))
@@ -158,17 +140,13 @@ def check_variance_decomposition(table: MomentTable, i: int, lam: float) -> floa
     chain = table.chain
     p_i0 = chain.p00 if i == 0 else chain.p10
     p_i1 = 1.0 - p_i0
-    direct = poissonized_variance(table, i, lam).value
+    direct = poissonized(table, i, lam).variance
     lam0, lam1 = lam * p_i0, lam * p_i1
+    a, b = poissonized(table, 0, lam0), poissonized(table, 1, lam1)
     split = (
-        poissonized_variance(table, 0, lam0).value
-        + poissonized_variance(table, 1, lam1).value
-        + 2.0 * lam0 * poissonized_mean_derivative(table, 0, lam0)
-        + 2.0 * lam1 * poissonized_mean_derivative(table, 1, lam1)
-        + 2.0
-        * lam
-        * math.exp(-lam)
-        * (poissonized_mean(table, 0, lam0).value + poissonized_mean(table, 1, lam1).value)
+        a.variance + b.variance
+        + 2.0 * lam0 * a.slope + 2.0 * lam1 * b.slope
+        + 2.0 * lam * math.exp(-lam) * (a.mean + b.mean)
         + lam * (1.0 - math.exp(-lam))
         + lam * lam * math.exp(-lam) * (2.0 - math.exp(-lam))
     )

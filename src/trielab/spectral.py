@@ -37,24 +37,22 @@ def lambda_of_s(chain: MarkovChain, s: float) -> float:
 
 
 def lambda_derivatives(chain: MarkovChain) -> tuple[float, float]:
-    """Exact (lambda'(-1), lambda''(-1)) by differentiating lambda^2 - T lambda + D = 0.
+    """Exact (lambda'(-1), lambda''(-1)) from the eigenvectors (1, 1) and (c, b) at s = -1.
 
-    T and D are sums of powers x^{-s}, whose s-derivatives are closed form,
-    so implicit differentiation gives both derivatives with no difference
-    step; the tests certify it against a Richardson finite-difference ladder.
+    With a, d = p00, p11, b, c = p01, p10, S = b + c, al = ln a, dl = ln d and
+    bc = ln(b c) from log1p:  lambda' = -(a c al + d b dl + b c bc) / S and
+    lambda'' = (a c al^2 + d b dl^2 - 2 a d al dl + b c bc^2
+                - 2 lambda' (a b al + d c dl - b c bc) / S) / S.
+    Implicit differentiation of the characteristic polynomial cancels as
+    p00, p11 -> 1; these forms do not, and the tests hold them to mpmath.
     """
-    # at s = -1 every power p^{-s} is p itself
-    a, b = chain.p00, chain.p11
-    prod, cross = a * b, chain.p01 * chain.p10
-    la, lb, lc, ld = math.log(a), math.log(b), math.log(prod), math.log(cross)
-    lam = lambda_of_s(chain, -1.0)
-    t_dot = -(la * a + lb * b)
-    t_ddot = la * la * a + lb * lb * b
-    d_dot = -(lc * prod - ld * cross)
-    d_ddot = lc * lc * prod - ld * ld * cross
-    denom = 2.0 * lam - (a + b)  # = sqrt(discriminant) > 0
-    lam_dot = (t_dot * lam - d_dot) / denom
-    lam_ddot = (t_ddot * lam + 2.0 * t_dot * lam_dot - d_ddot - 2.0 * lam_dot**2) / denom
+    a, d, b, c = chain.p00, chain.p11, chain.p01, chain.p10
+    al, dl = math.log(a), math.log(d)
+    bc = math.log1p(-a) + math.log1p(-d)
+    S = b + c
+    lam_dot = -(a * c * al + d * b * dl + b * c * bc) / S
+    lam_ddot = (a * c * al * al + d * b * dl * dl - 2.0 * a * d * al * dl + b * c * bc * bc
+                - 2.0 * lam_dot * (a * b * al + d * c * dl - b * c * bc) / S) / S
     return lam_dot, lam_ddot
 
 
@@ -63,9 +61,9 @@ def sigma_squared(chain: MarkovChain) -> tuple[float, float]:
 
     The eigenvalue form is (lambda'' - lambda'^2)/lambda'^3 at s = -1 from
     `lambda_derivatives`; the explicit form is the closed expression in the
-    transition probabilities.  They agree within 1e-10 relative for p_ij in
-    [0.005, 0.995], so their spread certifies the numerics.  A symmetric
-    chain degenerates (sigma^2 = 0) and raises SymmetricChain.
+    transition probabilities.  Their spread certifies the numerics: <= 4e-9
+    relative for p_ij up to 1e-9 from 0 or 1, growing as sigma^2 -> 0 near
+    the symmetric chain, which degenerates and raises SymmetricChain.
     """
     chain.require_asymmetric()
     lam_dot, lam_ddot = lambda_derivatives(chain)

@@ -2,7 +2,7 @@
 
 Each replicate trie holds Poisson(lam)-many strings, so the sample mean of
 `simulate_epl_poisson` estimates the Poisson mixture of the exact table
-(`poisson_analysis.poissonized_mean`).  The sizes come from the package's own
+(`poisson_analysis.poissonized(...).mean`).  The sizes come from the package's own
 counter generator: the Poisson CDF, summed from the package's pmf over its
 summation window, is inverted at salted uniforms.
 """

@@ -130,7 +130,7 @@ def test_criterion_02_brute_force_oracle():
     worst = 0.0
     for n in range(13):
         worst = max(worst, abs(table.nu[0][n] - brute_mean[n]),
-                    abs(table.m2[0][n] - brute_sec[n]))
+                    abs(table.var[0][n] + table.nu[0][n] ** 2 - brute_sec[n]))
     ok = worst <= 1e-8
     assert report(2, ok, f"n <= 12, worst moment deviation {worst:.2e}")
 

@@ -14,9 +14,7 @@ from trielab.poisson_analysis import (
     _window,
     check_mean_decomposition,
     check_variance_decomposition,
-    poissonized_mean,
-    poissonized_mean_derivative,
-    poissonized_variance,
+    poissonized,
 )
 from trielab.spectral import sigma_squared
 
@@ -38,57 +36,70 @@ def test_weights_match_scipy_pmf():
 
 
 def test_mean_frozen_value(table67):
-    pv = poissonized_mean(table67, 0, 100.0)
+    pv = poissonized(table67, 0, 100.0)
     assert pv.window == (0, 232)
-    assert pv.value == pytest.approx(869.0551111056077, abs=1e-9)
-    assert 0.0 <= pv.truncation_bound <= 1e-10 * max(1.0, abs(pv.value))
+    assert pv.mean == 869.0551111055711
+    assert 0.0 <= pv.mean_bound <= 1e-10 * max(1.0, abs(pv.mean))
 
 
 def test_variance_bound_and_positivity(table67):
     for lam in (10.0, 100.0, 1000.0):
-        pv = poissonized_variance(table67, 1, lam)
-        assert pv.value > 0.0
-        assert pv.truncation_bound <= 1e-10 * max(1.0, pv.value)
+        pv = poissonized(table67, 1, lam)
+        assert pv.variance > 0.0
+        assert pv.variance_bound <= 1e-10 * max(1.0, pv.variance)
 
 
 def test_mean_monotone_in_lambda(table67):
-    values = [poissonized_mean(table67, 0, lam).value for lam in (5.0, 20.0, 80.0, 320.0)]
+    values = [poissonized(table67, 0, lam).mean for lam in (5.0, 20.0, 80.0, 320.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_invalid_lambda(table67):
-    with pytest.raises(ValueError):
-        poissonized_mean(table67, 0, 0.0)
-    with pytest.raises(ValueError):
-        poissonized_variance(table67, 0, -3.0)
-    with pytest.raises(ValueError):
-        poissonized_mean_derivative(table67, 0, 0.0)
-    for bad in (math.nan, math.inf):
-        for func in (poissonized_mean, poissonized_variance, poissonized_mean_derivative):
-            with pytest.raises(ValueError, match="finite and > 0"):
-                func(table67, 0, bad)
+    for bad in (0.0, -3.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            poissonized(table67, 0, bad)
 
 
 def test_horizon_too_small(chain67):
     table = compute_moment_table(chain67, 64)
     with pytest.raises(HorizonTooSmall):
-        poissonized_mean(table, 0, 60.0)
-    # the derivative needs one extra table slot past the window top
-    edge = compute_moment_table(chain67, 97)
-    assert poissonized_mean(edge, 0, 25.0).window[1] == 97
-    with pytest.raises(HorizonTooSmall):
-        poissonized_mean_derivative(edge, 0, 25.0)
+        poissonized(table, 0, 60.0)
+    # the slope reads one table slot past the window top, and every value of
+    # one rate comes from that one window, so the horizon must reach hi + 1
+    with pytest.raises(HorizonTooSmall, match="needs table horizon >= 98, have 97"):
+        poissonized(compute_moment_table(chain67, 97), 0, 25.0)
+    assert poissonized(compute_moment_table(chain67, 98), 0, 25.0).window == (0, 97)
 
 
 def test_mean_derivative(table67):
-    d = poissonized_mean_derivative(table67, 0, 100.0)
-    assert d == pytest.approx(10.261011561305395, abs=1e-9)
+    d = poissonized(table67, 0, 100.0).slope
+    assert d == 10.26101156130494
     h = 0.5
     central = (
-        poissonized_mean(table67, 0, 100.0 + h).value
-        - poissonized_mean(table67, 0, 100.0 - h).value
+        poissonized(table67, 0, 100.0 + h).mean - poissonized(table67, 0, 100.0 - h).mean
     ) / (2.0 * h)
     assert d == pytest.approx(central, rel=1e-6)
+
+
+# `poisson-check`'s default rates on chain67 at its default horizon 8192:
+# (lambda, i) -> (mean residual, variance residual), exact floats
+DEFAULT_RESIDUALS = {
+    (10.0, 0): (0.0, 0.0),
+    (10.0, 1): (0.0, 8.533254132555565e-16),
+    (50.0, 0): (2.9904694906307e-16, 1.9854388739604554e-16),
+    (50.0, 1): (1.468024448789368e-16, 1.1494903366688278e-15),
+    (200.0, 0): (1.1625434752809883e-16, 1.0624888779268633e-15),
+    (200.0, 1): (0.0, 1.4222147840089026e-15),
+    (1000.0, 0): (0.0, 3.1805894844345863e-15),
+    (1000.0, 1): (0.0, 2.262534523748963e-15),
+}
+
+
+def test_default_residuals_pinned(table67):
+    for (lam, i), pinned in DEFAULT_RESIDUALS.items():
+        got = (check_mean_decomposition(table67, i, lam),
+               check_variance_decomposition(table67, i, lam))
+        assert got == pinned, (lam, i)
 
 
 def test_decomposition_residuals(table67):
@@ -110,7 +121,7 @@ def test_fair_chain_states_agree():
     fair = MarkovChain(0.5, 0.5, 0.5)
     table = compute_moment_table(fair, 512)
     for lam in (10.0, 100.0):
-        assert poissonized_mean(table, 0, lam).value == poissonized_mean(table, 1, lam).value
+        assert poissonized(table, 0, lam).mean == poissonized(table, 1, lam).mean
         assert check_mean_decomposition(table, 0, lam) <= 1e-6
         assert check_variance_decomposition(table, 0, lam) <= 1e-6
 
@@ -118,7 +129,7 @@ def test_fair_chain_states_agree():
 def test_poisson_sized_simulation_mean(chain67, table67):
     m = 20000
     cloud = simulate_epl_poisson(replace(chain67, mu0=1.0), 100.0, m, 314)
-    exact = poissonized_mean(table67, 0, 100.0).value
+    exact = poissonized(table67, 0, 100.0).mean
     slack = 4.0 * math.sqrt(cloud.var(ddof=1) / m)
     assert abs(cloud.mean() - exact) <= slack
 
@@ -129,12 +140,7 @@ def test_variance_growth_slope_matches_spectral_constant(chain67, table67):
     sig2 = sigma_squared(chain67)[1]
     lams = np.array([256.0, 512.0, 1024.0, 2048.0, 4096.0])
     for i in (0, 1):
-        adjusted = np.array(
-            [
-                poissonized_variance(table67, i, lam).value
-                - lam * poissonized_mean_derivative(table67, i, lam) ** 2
-                for lam in lams
-            ]
-        )
+        values = [poissonized(table67, i, lam) for lam in lams]
+        adjusted = np.array([v.variance - v.lam * v.slope**2 for v in values])
         fit = fit_growth_values(lams, adjusted)
         assert abs(fit.a - sig2) <= 0.25 * sig2
