@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from trielab.exact_moments import MAX_HORIZON, compute_moment_table, error_terms, mean_for_initial
+from trielab.exact_moments import MAX_HORIZON, compute_moment_table, error_terms, root_split
 from trielab.markov_source import MarkovChain, entropy_rate
 
 
@@ -33,7 +33,7 @@ def main() -> int:
     k = 7
     while 2**k <= args.n_max:
         n = 2**k
-        nu = mean_for_initial(chain, table, n)
+        nu = root_split(chain, table, n)[0]
         print(f"{n:>8} {nu:>14.2f} {H * nu / (n * math.log(n)):>14.6f}")
         k += 1
     if chain.is_asymmetric:

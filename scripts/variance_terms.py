@@ -9,8 +9,8 @@ leaves them over-dispersed at any size a simulation can reach.
 import argparse
 import math
 
-from trielab.clt_harness import fit_variance_growth
-from trielab.exact_moments import MAX_HORIZON, compute_moment_table, variance_for_initial
+from trielab.clt_harness import fit_growth_values
+from trielab.exact_moments import MAX_HORIZON, compute_moment_table, root_split
 from trielab.markov_source import MarkovChain, SymmetricChain
 from trielab.spectral import sigma_squared
 
@@ -35,20 +35,20 @@ def main() -> int:
     table = compute_moment_table(chain, args.n_max)
     kmax = int(math.log2(args.n_max))
     grid = [2**k for k in range(8, kmax + 1)]
-    fit = fit_variance_growth(table, grid)
+    variances = [root_split(chain, table, n)[1] for n in grid]
+    a, b = fit_growth_values(grid, variances)
 
     print(f"chain p00={chain.p00:g} p11={chain.p11:g}: sigma2 = {sig2:.6f}")
     print(f"fit over dyadic n in [{grid[0]}, {grid[-1]}]: "
-          f"a = {fit.a:.6f}  b = {fit.b:.6f}  (slope off sigma2 by "
-          f"{abs(fit.a - sig2) / sig2:.2%})")
+          f"a = {a:.6f}  b = {b:.6f}  (slope off sigma2 by "
+          f"{abs(a - sig2) / sig2:.2%})")
     print()
     print(f"{'n':>8} {'var(n)':>14} {'a n ln n':>14} {'b n / a n ln n':>15}")
-    for n in grid:
-        var = variance_for_initial(chain, table, n)
-        lead = fit.a * n * math.log(n)
-        print(f"{n:>8} {var:>14.1f} {lead:>14.1f} {fit.b * n / lead:>15.3f}")
+    for n, var in zip(grid, variances):
+        lead = a * n * math.log(n)
+        print(f"{n:>8} {var:>14.1f} {lead:>14.1f} {b * n / lead:>15.3f}")
     print()
-    cross = math.exp(fit.b / fit.a)
+    cross = math.exp(b / a)
     print(f"linear term matches the leading term near n = exp(b/a) ~ {cross:.3g}")
     return 0
 

@@ -9,8 +9,7 @@ from trielab.clt_harness import (
 )
 from trielab.exact_moments import (
     compute_moment_table,
-    mean_for_initial,
-    variance_for_initial,
+    root_split,
 )
 from trielab.markov_source import (
     BitStream,
@@ -34,8 +33,7 @@ __all__ = [
     "Trie",
     "build_trie",
     "compute_moment_table",
-    "mean_for_initial",
-    "variance_for_initial",
+    "root_split",
     "sigma_squared",
     "spectral_constants",
     "apply_T",

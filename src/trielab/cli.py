@@ -41,8 +41,7 @@ from trielab.exact_moments import (
     MomentTable,
     compute_moment_table,
     error_terms,
-    mean_for_initial,
-    variance_for_initial,
+    root_split,
 )
 from trielab.markov_source import (
     MarkovChain,
@@ -191,6 +190,16 @@ def _cmd_oracle(args) -> int:
                    args.out, ["n", *columns], rows)
 
 
+def _residual_rows(table: MomentTable, lams) -> tuple[list, float]:
+    """The split-identity residual of the mean and of the variance at each
+    (lambda, i), as poisson-check's rows, and the worst of them."""
+    rows = [{"lambda": lam, "i": i,
+             "eq10_residual": check_mean_decomposition(table, i, lam),
+             "lemma4_residual": check_variance_decomposition(table, i, lam)}
+            for lam in lams for i in (0, 1)]
+    return rows, max(max(r["eq10_residual"], r["lemma4_residual"]) for r in rows)
+
+
 def _cmd_poisson_check(args) -> int:
     chain = _chain_of(args)
     lams = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
@@ -199,12 +208,7 @@ def _cmd_poisson_check(args) -> int:
         return EXIT_USAGE
     for lam in lams:
         check_rate(lam)
-    table = _table(chain, args.n_max)
-    rows = [{"lambda": lam, "i": i,
-             "eq10_residual": check_mean_decomposition(table, i, lam),
-             "lemma4_residual": check_variance_decomposition(table, i, lam)}
-            for lam in lams for i in (0, 1)]
-    worst = max(max(r["eq10_residual"], r["lemma4_residual"]) for r in rows)
+    rows, worst = _residual_rows(_table(chain, args.n_max), lams)
     lines = [f"lambda={r['lambda']:g} i={r['i']}: "
              f"mean residual {r['eq10_residual']:.3e}, "
              f"variance residual {r['lemma4_residual']:.3e}" for r in rows]
@@ -223,9 +227,9 @@ def _cmd_simulate(args) -> int:
         return EXIT_USAGE
     check_threads(args.threads)
     table = _table(chain, max(16, args.n))
-    center = mean_for_initial(chain, table, args.n)
+    center, variance = root_split(chain, table, args.n)
     if args.standardize == "oracle":
-        scale = math.sqrt(variance_for_initial(chain, table, args.n))
+        scale = math.sqrt(variance)
     else:
         scale = math.sqrt(sigma_squared(chain)[1] * args.n * math.log(args.n))
     cloud = simulate_epl(chain, args.n, args.m, args.seed, threads=args.threads)
@@ -290,6 +294,11 @@ def _cmd_trie_stats(args) -> int:
     )
 
 
+# sizes of verify's variance-growth fit; the top one is the largest size any
+# verify item reads, so it is also the horizon of verify's table
+_VARIANCE_GRID = [2**k for k in range(8, 14)]
+
+
 def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int,
                   threads: int):
     """(name, value, limit, detail) of each scorecard item, in scorecard order.
@@ -317,33 +326,29 @@ def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int
     worst_z = 0.0
     for n in grid:
         cloud = simulate_epl(chain, n, m, replicate_seed(seed, n), threads=threads)
-        mu = mean_for_initial(chain, table, n)
-        se = math.sqrt(variance_for_initial(chain, table, n) / m)
+        mu, var = root_split(chain, table, n)
+        se = math.sqrt(var / m)
         worst_z = max(worst_z, abs(cloud.mean() - mu) / se)
     yield "mean", worst_z, 4.0, f"worst |z| = {worst_z:.2f} over n in {grid}"
 
     # 3. Poissonized decompositions
     lams = [10.0, 50.0, 200.0] if quick else [10.0, 50.0, 200.0, 1000.0]
-    worst = max(
-        max(check_mean_decomposition(table, i, lam),
-            check_variance_decomposition(table, i, lam))
-        for lam in lams for i in (0, 1)
-    )
+    _, worst = _residual_rows(table, lams)
     yield "poisson", worst, 1e-6, f"worst residual {worst:.2e}"
 
     # 4. variance growth fit, which needs the variance constant
     rel, detail = None, "SymmetricChain: variance constant undefined for symmetric chains"
     if sig2 is not None:
-        fit = fit_variance_growth(table, [2**k for k in range(8, 14)])
-        rel = abs(fit.a - sig2) / sig2
-        detail = f"slope {fit.a:.4f} vs sigma2 {sig2:.4f}, rel {rel:.3f}"
+        a, _ = fit_variance_growth(table, _VARIANCE_GRID)
+        rel = abs(a - sig2) / sig2
+        detail = f"slope {a:.4f} vs sigma2 {sig2:.4f}, rel {rel:.3f}"
     yield "variance_fit", rel, 0.15, detail
 
     # 5. CLT normality, standardized with the exact oracle sd
     n, m, limit = (512, 800, 0.06) if quick else (2048, 2000, 0.05)
     cloud = simulate_epl(chain, n, m, replicate_seed(seed, 5), threads=threads)
-    ks = ks_distance(standardize(cloud, mean_for_initial(chain, table, n),
-                                 math.sqrt(variance_for_initial(chain, table, n))))
+    center, variance = root_split(chain, table, n)
+    ks = ks_distance(standardize(cloud, center, math.sqrt(variance)))
     yield "clt_ks", ks, limit, f"ks {ks:.4f} at n={n}, m={m}"
 
     # 6. contraction iteration of the map on centered laws from standardized
@@ -360,9 +365,10 @@ def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int
 def _cmd_verify(args) -> int:
     chain = _chain_of(args)
     check_threads(args.threads)
+    table = _table(chain, _VARIANCE_GRID[-1])
     items = []
     for name, value, limit, detail in _verify_items(
-            chain, _table(chain, 8192), args.budget == "quick", args.seed, args.threads):
+            chain, table, args.budget == "quick", args.seed, args.threads):
         item = {"name": name, "status": "skipped", "detail": detail, "margin": None}
         if value is not None:
             item.update(status="pass" if value <= limit else "fail",

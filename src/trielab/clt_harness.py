@@ -3,8 +3,8 @@
 The simulated statistic follows the oracle's convention: it is the trie's
 external path length minus n, i.e. depth is counted below the level that
 resolves each string's initial state.  That makes sample means directly
-comparable to `exact_moments.mean_for_initial` and keeps every centered or
-scaled quantity unchanged (the shift is deterministic).
+comparable to the exact mean from `exact_moments.root_split` and keeps every
+centered or scaled quantity unchanged (the shift is deterministic).
 
 All randomness is counter based: replicate r of a run with master seed s uses
 sub-seed mix(s, r), so results are independent of execution order and thread
@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from trielab.exact_moments import MomentTable, variance_for_initial
+from trielab.exact_moments import MomentTable, root_split
 from trielab.markov_source import MarkovChain, replicate_seed, stream_seeds, uniforms_at
 from trielab.trie import DepthExceeded, batch_external_path_lengths
 
@@ -174,17 +173,9 @@ def apply_T(
     return out0 - out0.mean(), out1 - out1.mean()
 
 
-@dataclass(frozen=True)
-class VarianceFit:
-    """Least-squares var(n) ~ a n log n + b n over a grid of sizes."""
-
-    a: float
-    b: float
-    residual: float
-
-
-def fit_growth_values(ns, values) -> VarianceFit:
-    """Fit the two-term growth model to explicit (n, value) pairs."""
+def fit_growth_values(ns, values) -> tuple[float, float]:
+    """Least-squares (a, b) of the two-term growth model value ~ a n log n + b n
+    over explicit (n, value) pairs."""
     ns = np.asarray(ns, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if ns.size < 4 or ns.min() == ns.max():
@@ -193,16 +184,15 @@ def fit_growth_values(ns, values) -> VarianceFit:
     coef, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
     if rank < 2:
         raise SingularFit("design matrix is rank deficient")
-    resid = float(np.linalg.norm(design @ coef - values))
-    return VarianceFit(float(coef[0]), float(coef[1]), resid)
+    return float(coef[0]), float(coef[1])
 
 
-def fit_variance_growth(table: MomentTable, grid) -> VarianceFit:
-    """Growth fit of the oracle variance for the table's chain over `grid`."""
+def fit_variance_growth(table: MomentTable, grid) -> tuple[float, float]:
+    """Growth fit (a, b) of the oracle variance for the table's chain over `grid`."""
     grid = [int(n) for n in grid]
     if any(n < 2 or n > table.N for n in grid):
         raise ValueError(f"grid must lie within [2, {table.N}]")
-    values = [variance_for_initial(table.chain, table, n) for n in grid]
+    values = [root_split(table.chain, table, n)[1] for n in grid]
     return fit_growth_values(grid, values)
 
 

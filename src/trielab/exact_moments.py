@@ -189,9 +189,15 @@ def mixture(w: np.ndarray, means: np.ndarray, variances: np.ndarray) -> tuple[fl
     return mean, float(np.dot(w, variances)) + float(np.dot(w, (means - mean) ** 2))
 
 
-def _root_split(chain: MarkovChain, table: MomentTable, n: int) -> tuple[float, float]:
-    """(mean, variance) over the B(n, mu0) root split: the split sending k
-    strings to state 0 contributes nu_0[k] + nu_1[n-k] and var_0[k] + var_1[n-k]."""
+def root_split(chain: MarkovChain, table: MomentTable, n: int) -> tuple[float, float]:
+    """Exact (mean, variance) of the path length of n strings under the chain's
+    initial law, by the law of total variance over the B(n, mu0) root split:
+    the split sending k strings to state 0 contributes nu_0[k] + nu_1[n-k]
+    and var_0[k] + var_1[n-k].
+
+    A delta initial law mu0 = 1 - i puts weight 1.0 on the single split that
+    sends every string to state i, so this returns (nu_i[n], var_i[n]) exactly.
+    """
     if not 0 <= n <= table.N:
         raise ValueError(f"n={n} outside table horizon {table.N}")
     if chain.mu0 <= 0.0:
@@ -203,21 +209,6 @@ def _root_split(chain: MarkovChain, table: MomentTable, n: int) -> tuple[float, 
         ks = np.arange(k0, k0 + len(w))
     return mixture(w, table.nu[0][ks] + table.nu[1][n - ks],
                    table.var[0][ks] + table.var[1][n - ks])
-
-
-def mean_for_initial(chain: MarkovChain, table: MomentTable, n: int) -> float:
-    """E over the root split: sum_k b(n, mu0, k) (nu_0[k] + nu_1[n-k]).
-
-    A delta initial law mu0 = 1 - i puts weight 1.0 on the single split that
-    sends every string to state i, so this returns nu_i[n] exactly, as
-    `variance_for_initial` returns var_i[n].
-    """
-    return _root_split(chain, table, n)[0]
-
-
-def variance_for_initial(chain: MarkovChain, table: MomentTable, n: int) -> float:
-    """Total variance over the root split: E[var | split] + var of E[. | split]."""
-    return _root_split(chain, table, n)[1]
 
 
 def error_terms(table: MomentTable) -> np.ndarray:

@@ -89,10 +89,12 @@ def entropy_rate(chain: MarkovChain) -> tuple[float, float, float]:
     """Entropy rate in nats and the per-state transition entropies.
 
     H_i = -sum_j p_ij log p_ij and H = pi0*H0 + pi1*H1.  H governs the
-    leading n*log(n)/H growth of the expected path length.
+    leading n*log(n)/H growth of the expected path length.  log p01 and
+    log p10 come from log1p of -p00 and -p11, not from the rounded 1 - p, so
+    they keep their digits when p00 or p11 is near 0.
     """
-    h0 = -(chain.p00 * np.log(chain.p00) + chain.p01 * np.log(chain.p01))
-    h1 = -(chain.p10 * np.log(chain.p10) + chain.p11 * np.log(chain.p11))
+    h0 = -(chain.p00 * np.log(chain.p00) + chain.p01 * np.log1p(-chain.p00))
+    h1 = -(chain.p10 * np.log1p(-chain.p11) + chain.p11 * np.log(chain.p11))
     pi0, pi1 = stationary_distribution(chain)
     return pi0 * h0 + pi1 * h1, h0, h1
 

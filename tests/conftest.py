@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from trielab.exact_moments import compute_moment_table, variance_for_initial
+from trielab.exact_moments import compute_moment_table, root_split
 from trielab.markov_source import MarkovChain
 from trielab.spectral import sigma_squared
 
@@ -31,7 +31,7 @@ def scale_gap67(chain67, table67):
     """
     sig2 = sigma_squared(chain67)[1]
     ns = [2**k for k in range(7, 14)]
-    var = {n: variance_for_initial(chain67, table67, n) for n in ns}
+    var = {n: root_split(chain67, table67, n)[1] for n in ns}
     correction = {n: var[n] / n - sig2 * math.log(n) for n in ns}
     flat = [correction[n] for n in ns if n >= 2**8]
     return {

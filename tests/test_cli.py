@@ -14,7 +14,7 @@ import pytest
 import trielab
 import trielab.cli
 from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, schema_for
-from trielab.exact_moments import compute_moment_table, mean_for_initial, variance_for_initial
+from trielab.exact_moments import compute_moment_table, root_split
 from trielab.markov_source import MarkovChain
 from trielab.spectral import sigma_squared, spectral_constants
 
@@ -308,13 +308,14 @@ def test_simulate_reports_exact_center_and_mode_scale(capsys, mu0):
     # the asymptotic sqrt(sigma^2 n ln n)
     chain, n = MarkovChain(float(mu0), 0.6, 0.7), 64
     table = compute_moment_table(chain, n)
-    scales = {"oracle": math.sqrt(variance_for_initial(chain, table, n)),
+    center, variance = root_split(chain, table, n)
+    scales = {"oracle": math.sqrt(variance),
               "asymptotic": math.sqrt(sigma_squared(chain)[1] * n * math.log(n))}
     for mode, scale in scales.items():
         code, report, _ = run_json(capsys, "simulate", "--mu0", mu0, *CHAIN, "--n", str(n),
                                    "--m", "50", "--standardize", mode)
         assert code == EXIT_OK
-        assert report["center"] == mean_for_initial(chain, table, n)
+        assert report["center"] == center
         assert report["scale"] == scale
         if chain.mu0 == 1.0:
             # every string starts in state 0: the oracle's row 0 exactly

@@ -13,8 +13,7 @@ from trielab.exact_moments import (
     binomial_window,
     compute_moment_table,
     error_terms,
-    mean_for_initial,
-    variance_for_initial,
+    root_split,
 )
 from trielab.markov_source import PROB_FLOOR, MarkovChain, entropy_rate
 
@@ -157,8 +156,7 @@ def test_edge_chain_tables(p00, p11, N):
     for mu0, row in ((0.0, 1), (1.0, 0)):
         chain = MarkovChain(mu0, p00, p11)
         for n in (0, 1, N):
-            assert mean_for_initial(chain, table, n) == table.nu[row][n]
-            assert variance_for_initial(chain, table, n) == table.var[row][n]
+            assert root_split(chain, table, n) == (table.nu[row][n], table.var[row][n])
 
 
 def test_recurrence_residual_first_moment(chain67):
@@ -201,18 +199,18 @@ def test_mean_for_initial_split(chain67):
             k = np.arange(n + 1)
             w = stats.binom.pmf(k, n, mu0)
             direct = float(np.dot(w, table.nu[0][k] + table.nu[1][n - k]))
-            got = mean_for_initial(chain, table, n)
+            got = root_split(chain, table, n)[0]
             assert abs(got - direct) <= 1e-10 * max(1.0, direct)
-    assert mean_for_initial(chain67, table, 0) == 0.0
-    assert mean_for_initial(chain67, table, 1) == 0.0
+    assert root_split(chain67, table, 0)[0] == 0.0
+    assert root_split(chain67, table, 1)[0] == 0.0
 
 
 def test_mean_for_initial_degenerate_endpoints(chain67):
     table = compute_moment_table(chain67, 32)
     all_zero = MarkovChain(1.0, 0.6, 0.7)   # every string opens in state 0
     all_one = MarkovChain(0.0, 0.6, 0.7)
-    assert mean_for_initial(all_zero, table, 20) == pytest.approx(table.nu[0][20], abs=1e-12)
-    assert mean_for_initial(all_one, table, 20) == pytest.approx(table.nu[1][20], abs=1e-12)
+    assert root_split(all_zero, table, 20)[0] == pytest.approx(table.nu[0][20], abs=1e-12)
+    assert root_split(all_one, table, 20)[0] == pytest.approx(table.nu[1][20], abs=1e-12)
 
 
 def test_variance_for_initial_total_law(chain67):
@@ -225,20 +223,17 @@ def test_variance_for_initial_total_law(chain67):
         within = float(np.dot(w, table.var[0][k] + table.var[1][n - k]))
         mean_g = float(np.dot(w, g))
         between = float(np.dot(w, (g - mean_g) ** 2))
-        got = variance_for_initial(chain, table, n)
+        got = root_split(chain, table, n)[1]
         assert abs(got - (within + between)) <= 1e-9 * max(1.0, got)
-    assert variance_for_initial(chain, table, 0) == 0.0
-    assert variance_for_initial(chain, table, 1) == 0.0
+    assert root_split(chain, table, 0)[1] == 0.0
+    assert root_split(chain, table, 1)[1] == 0.0
 
 
 def test_for_initial_horizon_errors(chain67):
     table = compute_moment_table(chain67, 32)
-    with pytest.raises(ValueError):
-        mean_for_initial(chain67, table, 33)
-    with pytest.raises(ValueError):
-        variance_for_initial(chain67, table, 40)
-    with pytest.raises(ValueError):
-        mean_for_initial(chain67, table, -1)
+    for n in (33, 40, -1):
+        with pytest.raises(ValueError):
+            root_split(chain67, table, n)
 
 
 def test_error_terms_contents(chain67):

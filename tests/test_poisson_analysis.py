@@ -142,5 +142,5 @@ def test_variance_growth_slope_matches_spectral_constant(chain67, table67):
     for i in (0, 1):
         values = [poissonized(table67, i, lam) for lam in lams]
         adjusted = np.array([v.variance - v.lam * v.slope**2 for v in values])
-        fit = fit_growth_values(lams, adjusted)
-        assert abs(fit.a - sig2) <= 0.25 * sig2
+        a, _ = fit_growth_values(lams, adjusted)
+        assert abs(a - sig2) <= 0.25 * sig2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trielab.exact_moments import mean_for_initial, variance_for_initial
+from trielab.exact_moments import root_split
 from trielab.markov_source import (
     PROB_FLOOR,
     BitStream,
@@ -375,6 +375,6 @@ def test_mean_epl_matches_oracle(chain67, table67):
         chain67, np.full(m, n), replicate_seed(424242, np.arange(m))
     )
     sample_mean = float((raw - n).mean())
-    mu = mean_for_initial(chain67, table67, n)
-    se = math.sqrt(variance_for_initial(chain67, table67, n) / m)
+    mu, var = root_split(chain67, table67, n)
+    se = math.sqrt(var / m)
     assert abs(sample_mean - mu) <= 4 * se
