@@ -18,9 +18,12 @@ and no extended precision.  Everything below the current level is already
 known, so one upward sweep fills the whole table.
 
 Binomial weights are kept only in their significant window, truncated below
-1e-16 of the peak and renormalized.  The sweep steps each row from the level
-below by Pascal's rule, one multiply and one add over the window, which
-keeps each level at O(sqrt(n)) work and the whole table at O(N^1.5).
+1e-16 of the peak (read at the binomial mode) and renormalized.  The sweep
+steps each row from the level below by Pascal's rule, one convolution of the
+window with (q, p), which keeps each level at O(sqrt(n)) work and the whole
+table at O(N^1.5).  Once a window holds neither endpoint k = 0 nor k = n, its
+renormalized mass is all interior and the endpoint masses are the exact
+q^n and p^n, so the level reads no endpoint from the window.
 """
 
 from __future__ import annotations
@@ -71,24 +74,26 @@ def binomial_window(
     Without `below` the row is built directly from the mode outward; the
     support radius 10*sqrt(npq) + 8 holds everything above the floor.  With
     `below`, the window (k0, w) of Binomial(n-1, p), the row is one Pascal
-    step b(n, k) = p b(n-1, k-1) + q b(n-1, k) over that window.
+    step b(n, k) = p b(n-1, k-1) + q b(n-1, k) over that window, the
+    convolution of w with (q, p); its floor is taken from the entry at the
+    mode int((n+1) p), where the stepped row peaks.
     """
     q = 1.0 - p
     if below is not None:
         k0, w = below
-        v = np.empty(len(w) + 1)
-        np.multiply(w, q, out=v[:-1])
-        v[-1] = 0.0
-        v[1:] += p * w
-        # the row is unimodal, so only its ends can fall under the floor
-        floor = WEIGHT_FLOOR * v.max()
+        # v[k] = p w[k-1] + q w[k], one full correlation (a convolution
+        # with (q, p) that skips np.convolve's argument handling)
+        v = np.correlate(w, (p, q), "full")
+        # the row is unimodal with its peak at the binomial mode, so only its
+        # ends can fall under the floor
+        floor = WEIGHT_FLOOR * v[min(int((n + 1) * p), n) - k0]
         first, last = 0, len(v)
         while v[first] < floor:
             first += 1
         while v[last - 1] < floor:
             last -= 1
         v = v[first:last]
-        v /= v.sum()
+        v *= 1.0 / v.sum()
         return k0 + first, v
     if n == 0:
         return 0, np.ones(1)
@@ -151,29 +156,37 @@ def compute_moment_table(chain: MarkovChain, N: int) -> MomentTable:
         splits = []
         for i, (p, own, opp, _, _) in enumerate(rows):
             k0, w = windows[i] = binomial_window(n, p, windows[i])
-            end = k0 + len(w)
-            # endpoint weights feed back into level n; they are the off-window
-            # exact masses, or the renormalized in-window values when present
-            a_same = w[-1] if end == n + 1 else p**n
-            a_other = w[0] if k0 == 0 else (1.0 - p) ** n
-            s, e = max(k0, 1), min(end, n)
-            w = w[s - k0 : e - k0]
-            g = own[s:e] + opp[n - e + 1 : n - s + 1][::-1]
-            splits.append((s, e, w, g, a_same, a_other, w.sum(), n + np.dot(w, g)))
+            s, e = k0, k0 + len(w)
+            if s >= 1 and e <= n:
+                # both endpoints lie off the window: their exact masses feed
+                # back into level n, and the renormalized row is all interior
+                a_same, a_other, mass = p**n, (1.0 - p) ** n, 1.0
+            else:
+                # endpoint weights are the renormalized in-window values when
+                # present, else the off-window exact masses
+                a_same = w[-1] if e == n + 1 else p**n
+                a_other = w[0] if s == 0 else (1.0 - p) ** n
+                s, e = max(s, 1), min(e, n)
+                w = w[s - k0 : e - k0]
+                mass = w.sum()
+            # opp[n - k] for k = s..e-1; the stop n - e is >= 0, so it never wraps
+            g = own[s:e] + opp[n - s : n - e : -1]
+            splits.append((s, e, w, g, a_same, a_other, mass, n + float(np.dot(w, g))))
         (*_, a00, a01, s0, rhs0), (*_, a11, a10, s1, rhs1) = splits
         x, y = _solve(a01, a10, s0, s1, rhs0, rhs1)
         nu0[n], nu1[n] = x, y
         # law of total variance over the split: within-part variances plus
-        # the spread of g_k around its mean nu_i[n] - n; the k = n part has
-        # g = nu_i[n] and the k = 0 part g = nu_other[n]
+        # the spread of g_k around its mean nu_i[n] - n, formed in g's own
+        # buffer; the k = n part has g = nu_i[n] and the k = 0 part g = nu_other[n]
         rhs = []
         for (s, e, w, g, a_same, a_other, _, _), (_, _, _, v_own, v_opp), mean, other in zip(
             splits, rows, (x, y), (y, x)
         ):
-            d = g - (mean - n)
-            within = v_own[s:e] + v_opp[n - e + 1 : n - s + 1][::-1]
-            rhs.append(np.dot(w, within + d * d)
-                       + a_same * n * n + a_other * (other - mean + n) ** 2)
+            g -= mean - n
+            g *= g
+            g += v_own[s:e]
+            g += v_opp[n - s : n - e : -1]
+            rhs.append(float(np.dot(w, g)) + a_same * n * n + a_other * (other - mean + n) ** 2)
         var0[n], var1[n] = _solve(a01, a10, s0, s1, *rhs)
     return MomentTable(chain, N, nu, var)
 

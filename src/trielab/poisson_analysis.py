@@ -1,4 +1,4 @@
-"""Poissonized moments from the exact table, with rigorous truncation bounds.
+"""Poissonized moments from the exact table.
 
 Replacing the fixed string count by N ~ Poisson(lambda) makes the two subtree
 counts independent Poissons, so the mean and variance satisfy exact functional
@@ -9,10 +9,10 @@ state and one rate, `poissonized` sums the Poisson mixtures
     m_i'(lambda) = sum_n  e^-lambda lambda^n / n!  (nu_i[n+1] - nu_i[n])
     v_i(lambda)  = Var of the size-mixed path length
 
-over one window lambda +- (12 sqrt(lambda) + 12) with one set of weights,
-and attaches the certified truncation bounds of m and v.  The checks below
-test the functional equations numerically; their residuals are pure
-truncation noise, which the bounds certify at <= 1e-10.
+over one window lambda +- (12 sqrt(lambda) + 12) with one set of weights.
+The checks below test the functional equations numerically; their residuals
+are pure truncation noise, which the tests' tail bounds on what the window
+leaves out certify at <= 1e-10.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ class HorizonTooSmall(ValueError):
 
 @dataclass(frozen=True)
 class PoissonizedValue:
-    """m, m' and v of one state at one rate, their window and the bounds of m and v."""
+    """m, m' and v of one state at one rate, and their summation window."""
 
     lam: float
     mean: float
     slope: float
     variance: float
     window: tuple[int, int]
-    mean_bound: float
-    variance_bound: float
 
 
 def check_rate(lam: float) -> None:
@@ -71,44 +69,16 @@ def _weights(lam: float, lo: int, hi: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _tail_bound(lam: float, lo: int, hi: int, values: np.ndarray) -> float:
-    """Mass outside [lo, hi] times a growth envelope of the summand.
-
-    Left of lo the weights shrink by at least lo/lam per step and the table
-    values only decrease, giving a geometric bound.  Right of hi the weight
-    ratio is at most rho = lam/hi < 1 while the summand grows no faster than
-    c n^2 with c fitted (with 2x headroom) over the computed table, so the
-    series sum_j rho^j c (hi+j)^2 converges and is summed directly.
-    """
-    ns = np.arange(2, len(values), dtype=np.float64)
-    c = 0.0 if len(values) <= 2 else 2.0 * float(np.max(values[2:] / ns**2))
-    bound = 0.0
-    if lo > 0:
-        log_p_lo = lo * math.log(lam) - lam - math.lgamma(lo + 1)
-        r = lo / lam
-        bound += math.exp(log_p_lo) * float(abs(values[lo])) * r / (1.0 - r)
-    rho = lam / (hi + 1.0)
-    log_p_hi = hi * math.log(lam) - lam - math.lgamma(hi + 1)
-    terms = 1
-    while rho**terms * (hi + terms) ** 2 > 1e-30 and terms < 20000:
-        terms *= 2
-    j = np.arange(1.0, terms + 1.0)
-    bound += math.exp(log_p_hi) * c * float(np.sum(rho**j * (hi + j) ** 2))
-    return bound
-
-
 def poissonized(table: MomentTable, i: int, lam: float) -> PoissonizedValue:
     """Poisson(lam) mixtures of state i from one window: the mean m, its
     derivative m' = E[nu_i(N + 1)] - E[nu_i(N)], the variance E[var | N] +
-    Var(nu_i(N)), and the certified truncation bounds of m and v."""
+    Var(nu_i(N))."""
     lo, hi = _window(lam, table.N)
     w = _weights(lam, lo, hi)
     nu, var = table.nu[i], table.var[i]
     mean, variance = mixture(w, nu[lo : hi + 1], var[lo : hi + 1])
     slope = float(np.dot(w, nu[lo + 1 : hi + 2])) - mean
-    return PoissonizedValue(lam, mean, slope, variance, (lo, hi),
-                            _tail_bound(lam, lo, hi, nu),
-                            _tail_bound(lam, lo, hi, var + nu**2))
+    return PoissonizedValue(lam, mean, slope, variance, (lo, hi))
 
 
 def check_mean_decomposition(table: MomentTable, i: int, lam: float) -> float:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,16 +89,31 @@ def test_stepped_windows_match_direct(p):
             assert abs(w.sum() - 1.0) <= 1e-12
 
 
-def _exact_moments(p00: float, p11: float, N: int):
-    """nu and var rows in exact rationals from the second-moment recurrence.
+@pytest.mark.parametrize("p", [PROB_FLOOR, 0.05, 0.6, 0.7, 0.95, 1.0 - PROB_FLOOR])
+def test_stepped_rows_peak_at_mode(p):
+    # the stepped path takes its trim floor from the row's entry at the
+    # binomial mode int((n+1) p) instead of its max; the two agree to
+    # rounding: measured worst 1.2e-15 relative on these rows, and 2.4e-15
+    # (about 11 ulp) over every row to 8192 of eleven p in (0, 1)
+    k0, w = 0, np.array([1.0 - p, p])
+    for n in range(2, 8193):
+        k0, w = binomial_window(n, p, (k0, w))
+        if n % 97 == 0:
+            peak = w[min(int((n + 1) * p), n) - k0]
+            assert abs(peak - w.max()) <= 1e-13 * w.max()
 
-    The chain is the one the float DP sees: p00 and p11 are the rationals of
-    their floats, p01 = 1 - p00 and p10 = 1 - p11 exactly.  Full binomial
-    sums, no window; var = m2 - nu^2 is exact here.
+
+def _exact_moments(p00: float, p11: float, N: int, num=Fraction):
+    """nu and var rows from the second-moment recurrence, in the number type
+    `num`: exact rationals by default, or `mpmath.mpf` at the working precision.
+
+    The chain is the one the float DP sees: p00 and p11 are the values of
+    their floats, p01 = 1 - p00 and p10 = 1 - p11 (exact in both types).
+    Full binomial sums, no window; var = m2 - nu^2 is exact in rationals.
     """
-    P = (Fraction(p00), Fraction(p11))
-    nu = [[Fraction(0)] * (N + 1) for _ in range(2)]
-    m2 = [[Fraction(0)] * (N + 1) for _ in range(2)]
+    P = (num(p00), num(p11))
+    nu = [[num(0)] * (N + 1) for _ in range(2)]
+    m2 = [[num(0)] * (N + 1) for _ in range(2)]
     for n in range(2, N + 1):
         b = [[math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)] for p in P]
         # row i: nu_i[n] = c_i + b_i[n] nu_i[n] + b_i[0] nu_other[n]
@@ -133,6 +149,25 @@ def test_moments_match_exact_rationals(chain67):
         for n in range(2, N + 1):
             assert abs(table.nu[i][n] - float(nu[i][n])) <= 1e-13 * float(nu[i][n])
             assert abs(table.var[i][n] - float(var[i][n])) <= 1e-13 * float(var[i][n])
+
+
+@pytest.mark.parametrize("p00, p11", [(0.6, 0.7), (0.05, 0.95)])
+def test_moments_match_mpmath_past_trimming(p00, p11):
+    # past the rationals' n = 24: by N = 160 every row is trimmed (from
+    # n = 13 to 43), and on chain67 both windows hold neither endpoint (from
+    # n = 77 and 111), the branch that takes the endpoint masses as q^n and
+    # p^n.  40 digits leave var = m2 - nu^2 over 30 digits.  Measured worst
+    # relative errors, nu / var, with the endpoint masses read from the
+    # windows throughout or taken as above: chain67 up to 5.4e-16 / 1.4e-15,
+    # (0.05, 0.95) up to 1.0e-15 / 9.6e-15; the bound leaves 5x headroom.
+    N = 160
+    table = compute_moment_table(MarkovChain(0.5, p00, p11), N)
+    with mpmath.workdps(40):
+        nu, var = _exact_moments(p00, p11, N, num=mpmath.mpf)
+        for i in (0, 1):
+            for n in range(2, N + 1):
+                assert abs(table.nu[i][n] - nu[i][n]) <= 5e-14 * nu[i][n]
+                assert abs(table.var[i][n] - var[i][n]) <= 5e-14 * var[i][n]
 
 
 @given(_EDGE_P, _EDGE_P, st.integers(min_value=2, max_value=64))

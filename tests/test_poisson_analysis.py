@@ -21,6 +21,41 @@ from trielab.spectral import sigma_squared
 from poisson_sim import simulate_epl_poisson
 
 
+def _tail_bound(lam: float, lo: int, hi: int, values: np.ndarray) -> float:
+    """Mass outside [lo, hi] times a growth envelope of the summand.
+
+    Left of lo the weights shrink by at least lo/lam per step and the table
+    values only decrease, giving a geometric bound.  Right of hi the weight
+    ratio is at most rho = lam/hi < 1 while the summand grows no faster than
+    c n^2 with c fitted (with 2x headroom) over the computed table, so the
+    series sum_j rho^j c (hi+j)^2 converges and is summed directly.
+    """
+    ns = np.arange(2, len(values), dtype=np.float64)
+    c = 0.0 if len(values) <= 2 else 2.0 * float(np.max(values[2:] / ns**2))
+    bound = 0.0
+    if lo > 0:
+        log_p_lo = lo * math.log(lam) - lam - math.lgamma(lo + 1)
+        r = lo / lam
+        bound += math.exp(log_p_lo) * float(abs(values[lo])) * r / (1.0 - r)
+    rho = lam / (hi + 1.0)
+    log_p_hi = hi * math.log(lam) - lam - math.lgamma(hi + 1)
+    terms = 1
+    while rho**terms * (hi + terms) ** 2 > 1e-30 and terms < 20000:
+        terms *= 2
+    j = np.arange(1.0, terms + 1.0)
+    bound += math.exp(log_p_hi) * c * float(np.sum(rho**j * (hi + j) ** 2))
+    return bound
+
+
+def truncation_bounds(table, i: int, lam: float) -> tuple[float, float]:
+    """Certified bounds (mean_bound, variance_bound) on what the summation
+    window of `poissonized(table, i, lam)` leaves out of m and of v; the
+    variance one bounds the left-out second moment E[var + nu^2 | N]."""
+    lo, hi = _window(lam, table.N)
+    nu, var = table.nu[i], table.var[i]
+    return _tail_bound(lam, lo, hi, nu), _tail_bound(lam, lo, hi, var + nu**2)
+
+
 def test_weights_match_scipy_pmf():
     for lam in (7.0, 100.0, 200.0, 1e4, 3e4):
         lo, hi = _window(lam, 10**5)
@@ -39,14 +74,16 @@ def test_mean_frozen_value(table67):
     pv = poissonized(table67, 0, 100.0)
     assert pv.window == (0, 232)
     assert pv.mean == 869.0551111055711
-    assert 0.0 <= pv.mean_bound <= 1e-10 * max(1.0, abs(pv.mean))
+    mean_bound, _ = truncation_bounds(table67, 0, 100.0)
+    assert 0.0 <= mean_bound <= 1e-10 * max(1.0, abs(pv.mean))
 
 
 def test_variance_bound_and_positivity(table67):
     for lam in (10.0, 100.0, 1000.0):
         pv = poissonized(table67, 1, lam)
         assert pv.variance > 0.0
-        assert pv.variance_bound <= 1e-10 * max(1.0, pv.variance)
+        _, variance_bound = truncation_bounds(table67, 1, lam)
+        assert variance_bound <= 1e-10 * max(1.0, pv.variance)
 
 
 def test_mean_monotone_in_lambda(table67):
@@ -73,7 +110,7 @@ def test_horizon_too_small(chain67):
 
 def test_mean_derivative(table67):
     d = poissonized(table67, 0, 100.0).slope
-    assert d == 10.26101156130494
+    assert d == 10.261011561305054
     h = 0.5
     central = (
         poissonized(table67, 0, 100.0 + h).mean - poissonized(table67, 0, 100.0 - h).mean
@@ -84,14 +121,14 @@ def test_mean_derivative(table67):
 # `poisson-check`'s default rates on chain67 at its default horizon 8192:
 # (lambda, i) -> (mean residual, variance residual), exact floats
 DEFAULT_RESIDUALS = {
-    (10.0, 0): (0.0, 0.0),
-    (10.0, 1): (0.0, 8.533254132555565e-16),
-    (50.0, 0): (2.9904694906307e-16, 1.9854388739604554e-16),
-    (50.0, 1): (1.468024448789368e-16, 1.1494903366688278e-15),
+    (10.0, 0): (0.0, 2.219147832889044e-16),
+    (10.0, 1): (0.0, 6.399940599416673e-16),
+    (50.0, 0): (1.49523474531535e-16, 1.9854388739604562e-16),
+    (50.0, 1): (0.0, 7.663268911125517e-16),
     (200.0, 0): (1.1625434752809883e-16, 1.0624888779268633e-15),
-    (200.0, 1): (0.0, 1.4222147840089026e-15),
-    (1000.0, 0): (0.0, 3.1805894844345863e-15),
-    (1000.0, 1): (0.0, 2.262534523748963e-15),
+    (200.0, 1): (0.0, 1.5515070371006204e-15),
+    (1000.0, 0): (1.4784232176172724e-16, 5.927462220991726e-15),
+    (1000.0, 1): (0.0, 1.9797177082803418e-15),
 }
 
 
