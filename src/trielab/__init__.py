@@ -4,6 +4,7 @@ from trielab.clt_harness import (
     apply_T,
     fit_variance_growth,
     ks_distance,
+    law_ks,
     simulate_epl,
     standardize,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "apply_T",
     "fit_variance_growth",
     "ks_distance",
+    "law_ks",
     "simulate_epl",
     "standardize",
 ]

@@ -11,8 +11,9 @@ Every artifact embeds a run manifest: JSON reports carry it under
 excludes timestamps (those go on a separate "# generated:" line), so
 re-running the same flags reproduces byte-identical CSV bodies.
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numeric error
-(horizon too small or large, depth cap hit, degenerate scale).
+Exit codes: 0 ok, 1 verification failure, 2 usage error (an output path that
+cannot be written included), 3 numeric error (horizon too small or large,
+depth cap hit, degenerate scale).
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from trielab.clt_harness import (
     check_threads,
     fit_variance_growth,
     ks_distance,
+    law_ks,
     simulate_epl,
     standardize,
     summary,
-    uniform_cloud,
 )
 from trielab.exact_moments import (
     HorizonTooLarge,
@@ -257,21 +258,39 @@ def _cmd_simulate(args) -> int:
                    args.samples, None, ([v] for v in std))
 
 
+# the most iterations `contraction` runs: a law after k steps has ~k^2 / 2
+# classes, and measuring it costs one sinc factor per class and frequency, so
+# a run to the cap measures 2 x 11,521 classes at 4,097 frequencies each
+# (about 4 s in-process on a 2-core Xeon)
+MAX_CONTRACTION_ITERS = 40
+
+
+def _contraction_rows(chain: MarkovChain, iters: int) -> list:
+    """(iteration, ks0, ks1) of the exact map's iterates from the standardized
+    uniform pair, for iterations 0..iters."""
+    law0 = law1 = {(0, 0, 0, 0): 1}
+    rows = []
+    for it in range(iters + 1):
+        if it:
+            law0, law1 = apply_T(law0, law1)
+        rows.append({"iteration": it, "ks0": law_ks(law0, chain), "ks1": law_ks(law1, chain)})
+    return rows
+
+
 def _cmd_contraction(args) -> int:
     chain = _chain_of(args)
     if args.iters < 0:
         print("contraction: need iters >= 0", file=sys.stderr)
         return EXIT_USAGE
-    cloud0 = cloud1 = uniform_cloud(args.m, args.seed)
-    rows = [{"iteration": 0, "ks0": ks_distance(cloud0), "ks1": ks_distance(cloud1)}]
-    for it in range(1, args.iters + 1):
-        cloud0, cloud1 = apply_T(cloud0, cloud1, chain, replicate_seed(args.seed, it))
-        rows.append({"iteration": it, "ks0": ks_distance(cloud0),
-                     "ks1": ks_distance(cloud1)})
+    if args.iters > MAX_CONTRACTION_ITERS:
+        print(f"contraction: iters {args.iters} is above the cap of "
+              f"{MAX_CONTRACTION_ITERS} iterations", file=sys.stderr)
+        return EXIT_USAGE
+    rows = _contraction_rows(chain, args.iters)
     lines = [f"iter {r['iteration']:2d}: ks0={r['ks0']:.5f} ks1={r['ks1']:.5f}"
              for r in rows]
     return _finish(
-        args, chain, {"iters": args.iters, "m": args.m, "seed": args.seed},
+        args, chain, {"iters": args.iters, "seed": None},
         {"rows": rows, "final_ks": max(rows[-1]["ks0"], rows[-1]["ks1"])}, lines,
         args.out, list(rows[0]), (r.values() for r in rows),
     )
@@ -351,15 +370,12 @@ def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int
     ks = ks_distance(standardize(cloud, center, math.sqrt(variance)))
     yield "clt_ks", ks, limit, f"ks {ks:.4f} at n={n}, m={m}"
 
-    # 6. contraction iteration of the map on centered laws from standardized
-    # uniform clouds; the KS distance to the normal must have contracted
-    m, iters, limit = (50000, 6, 0.04) if quick else (100000, 8, 0.05)
-    cloud0 = cloud1 = uniform_cloud(m, replicate_seed(seed, 6))
-    for it in range(1, iters + 1):
-        cloud0, cloud1 = apply_T(cloud0, cloud1, chain,
-                                 replicate_seed(seed, 600 + it))
-    final = max(ks_distance(cloud0), ks_distance(cloud1))
-    yield "contraction", final, limit, f"ks {final:.4f} after {iters} iterations of m={m}"
+    # 6. the exact map iterated from the standardized uniform pair; the KS
+    # distance of both laws to the normal must have contracted
+    iters, limit = (6, 0.04) if quick else (8, 0.05)
+    last = _contraction_rows(chain, iters)[-1]
+    final = max(last["ks0"], last["ks1"])
+    yield "contraction", final, limit, f"exact ks {final:.4f} after {iters} iterations"
 
 
 def _cmd_verify(args) -> int:
@@ -439,10 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("contraction", parents=[chain_flags],
-                       help="iterate the distributional map from uniform clouds")
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--m", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+                       help="iterate the distributional map on exact laws")
+    p.add_argument("--iters", type=int, default=10,
+                   help=f"iterations, at most {MAX_CONTRACTION_ITERS}")
     p.add_argument("--out", help="CSV path (iteration, ks0, ks1)")
     p.set_defaults(func=_cmd_contraction)
 
@@ -460,6 +475,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=0, help="0 = auto")
     p.set_defaults(func=_cmd_verify)
 
+    # a flag is read whole: a removed or mistyped one exits 2 instead of
+    # passing as the prefix of another (contraction's old --m as --mu0)
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 
@@ -477,6 +496,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except ValueError as err:
         print(f"invalid request: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 

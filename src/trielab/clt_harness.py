@@ -8,12 +8,15 @@ centered or scaled quantity unchanged (the shift is deterministic).
 
 All randomness is counter based: replicate r of a run with master seed s uses
 sub-seed mix(s, r), so results are independent of execution order and thread
-count.  The distributional fixed-point map T is realized by resampling on
-centered laws, the space where it contracts: it combines independent draws
-from two clouds with coefficients whose squares sum to one and centers each
-output cloud, so a pair of standard normal clouds is (statistically) a fixed
-point, and iterating from any other centered unit-variance pair contracts
-toward it.  Every sample cloud is a plain float64 array.
+count.  Every sample cloud is a plain float64 array.
+
+The distributional fixed-point map T acts on exact laws, with no sampling:
+state i's new law is sqrt(p_i0) Y0 + sqrt(p_i1) Y1 with Y0 and Y1
+independent.  From the standardized uniform pair, every iterate is a sum of
+independent standardized uniforms, one per path of transitions, weighted by
+the square root of the path's probability (`apply_T`).  Its characteristic
+function is a product of sinc factors, and an FFT of that product gives the
+CDF and so the KS distance to the normal (`law_ks`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from trielab.exact_moments import MomentTable, root_split
-from trielab.markov_source import MarkovChain, replicate_seed, stream_seeds, uniforms_at
+from trielab.markov_source import MarkovChain, replicate_seed
 from trielab.trie import DepthExceeded, batch_external_path_lengths
 
 
@@ -42,6 +45,12 @@ class SingularFit(ValueError):
 
 
 _SQRT_HALF = math.sqrt(0.5)
+
+# the grid of an exact law's CDF: _LAW_POINTS points on [-_LAW_HALF_WIDTH,
+# _LAW_HALF_WIDTH); the cumulative trapezoid's error, about dx^2 / 50 with
+# dx = 2 * 12 / 2^13, is the floor of `law_ks` (1.7e-7)
+_LAW_POINTS = 2**13
+_LAW_HALF_WIDTH = 12.0
 
 
 def summary(x: np.ndarray) -> dict:
@@ -146,31 +155,87 @@ def _normal_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * np.fromiter(map(math.erfc, memoryview(x * -_SQRT_HALF)), np.float64, x.size)
 
 
-def apply_T(
-    x0: np.ndarray, x1: np.ndarray, chain: MarkovChain, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One resampling step of the distributional map on centered laws.
+def apply_T(law0: dict, law1: dict) -> tuple[dict, dict]:
+    """One step of the distributional map on exact laws.
 
-    Output samples combine independent with-replacement draws W0, W1 from the
-    two clouds as (sqrt(p00) W0 + sqrt(p01) W1, sqrt(p10) W0 + sqrt(p11) W1);
-    each coefficient pair has squares summing to 1, so unit-variance inputs
-    give unit variance in expectation.  The map contracts only on centered
-    laws, and its coefficient rows sum to more than 1, so each output cloud is
-    centered on its own sample mean: without that the O(1/sqrt(m)) mean error
-    of every step would grow about 1.4x per step.  Outputs have mean 0 up to
-    rounding.
+    A law is a sum of independent standardized uniforms held as
+    {(n00, n01, n10, n11): multiplicity}: the key is the transition counts of
+    a path, and `multiplicity` uniforms carry that path's weight
+    sqrt(p00^n00 p01^n01 p10^n10 p11^n11).  Both states start at
+    {(0, 0, 0, 0): 1}.  State 0's new law is sqrt(p00) Y0 + sqrt(p01) Y1 and
+    state 1's is sqrt(p10) Y0 + sqrt(p11) Y1, with Y0 and Y1 independent
+    copies of the inputs, so each input key gains one transition and equal
+    keys merge.  The weights enter only when a law is measured, so the map
+    needs no chain and compares no floats.
     """
-    if x0.size == 0 or x1.size == 0:
-        raise EmptyCloud("both clouds must be nonempty")
+    out0, out1 = {}, {}
+    for law, to0, to1 in ((law0, 0, 2), (law1, 1, 3)):
+        for key, mult in law.items():
+            for out, count in ((out0, to0), (out1, to1)):
+                step = key[:count] + (key[count] + 1,) + key[count + 1:]
+                out[step] = out.get(step, 0) + mult
+    return out0, out1
 
-    def draws(salt: int, count: int, source: np.ndarray) -> np.ndarray:
-        u = uniforms_at(stream_seeds(seed, salt), np.arange(count))
-        return source[(u * source.size).astype(np.int64)]
 
-    r00, r01, r10, r11 = (math.sqrt(p) for p in (chain.p00, chain.p01, chain.p10, chain.p11))
-    out0 = r00 * draws(0, x0.size, x0) + r01 * draws(1, x0.size, x1)
-    out1 = r10 * draws(2, x1.size, x0) + r11 * draws(3, x1.size, x1)
-    return out0 - out0.mean(), out1 - out1.mean()
+def _log_sinc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log|sin(a) / a|, sin(a) < 0) for a >= 0; the log is -inf at the zeros of sin.
+
+    Below a = 0.1 the log comes from its Taylor series: there sin(a) / a
+    rounds toward 1, and at tiny weights a class of large multiplicity would
+    vanish from the product.
+    """
+    sin = np.sin(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.log(np.abs(sin / a))
+    small = a < 0.1
+    a2 = a[small] ** 2
+    out[small] = -a2 * (1 / 6 + a2 * (1 / 180 + a2 * (1 / 2835 + a2 / 37800)))
+    return out, sin < 0.0
+
+
+def _log_characteristic(law: dict, chain: MarkovChain, t: np.ndarray):
+    """(log|phi(t)|, sign of phi(t)) of a law of `apply_T` at each t >= 0.
+
+    A standardized uniform of weight w has characteristic function
+    sinc(sqrt(3) w t), so phi is the product over classes of that factor to
+    the class multiplicity: the logs are summed, and phi is negative where an
+    odd number of classes of odd multiplicity have a negative factor.
+    """
+    logp = np.log([chain.p00, chain.p01, chain.p10, chain.p11])
+    w = np.exp(0.5 * (np.array(list(law), dtype=np.float64) @ logp))
+    log_sinc, negative = _log_sinc(math.sqrt(3.0) * w[:, None] * t)
+    mults = list(law.values())
+    odd = np.array([m % 2 for m in mults], dtype=bool)
+    parity = np.count_nonzero(negative[odd], axis=0) % 2
+    return np.array(mults, dtype=np.float64) @ log_sinc, 1 - 2 * parity
+
+
+def _law_cdf(law: dict, chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
+    """(x, F(x)) of a law of `apply_T` on the grid of _LAW_POINTS points.
+
+    The density is the inverse FFT of phi at t_k = k pi / L, the k-th term
+    turned by (-1)^k to put the grid's first point at -L, and the CDF is its
+    cumulative trapezoid from F(-L) = 0.  The window [-L, L) at L = 12 holds
+    all but 2 exp(-L^2 / 6) = 7.6e-11 of the mass, by Hoeffding: the law is a
+    sum of independent terms, the one of weight w within sqrt(3) w of 0, and
+    the multiplicities times w^2 sum to 1.
+    """
+    size, half = _LAW_POINTS, _LAW_HALF_WIDTH
+    dx = 2.0 * half / size
+    log_abs, sign = _log_characteristic(law, chain, math.pi / half * np.arange(size // 2 + 1))
+    phi = sign * np.exp(log_abs)
+    phi[1::2] *= -1.0
+    density = np.fft.irfft(phi, size) / dx
+    cdf = np.zeros(size)
+    np.cumsum((density[1:] + density[:-1]) * (0.5 * dx), out=cdf[1:])
+    return -half + dx * np.arange(size), cdf
+
+
+def law_ks(law: dict, chain: MarkovChain) -> float:
+    """sup_x |F(x) - Phi(x)| of a law of `apply_T` on `chain`, over the grid of
+    its CDF; exact up to that grid's floor, with no sampling."""
+    x, cdf = _law_cdf(law, chain)
+    return float(np.max(np.abs(cdf - _normal_cdf(x))))
 
 
 def fit_growth_values(ns, values) -> tuple[float, float]:
@@ -194,9 +259,3 @@ def fit_variance_growth(table: MomentTable, grid) -> tuple[float, float]:
         raise ValueError(f"grid must lie within [2, {table.N}]")
     values = [root_split(table.chain, table, n)[1] for n in grid]
     return fit_growth_values(grid, values)
-
-
-def uniform_cloud(m: int, seed: int) -> np.ndarray:
-    """Standardized uniform samples (mean 0, variance 1), counter seeded."""
-    u = uniforms_at(stream_seeds(seed, 100), np.arange(m))
-    return (u - 0.5) * math.sqrt(12.0)

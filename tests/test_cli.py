@@ -359,10 +359,45 @@ def test_negative_threads_is_usage_error(capsys, monkeypatch, sub):
 
 
 def test_contraction_rejects_negative_iters(capsys):
-    code, out, err = run(capsys, "contraction", *CHAIN, "--iters", "-3", "--m", "2000")
+    code, out, err = run(capsys, "contraction", *CHAIN, "--iters", "-3")
     assert code == EXIT_USAGE
     assert out == ""
     assert "iters >= 0" in err
+
+
+def test_contraction_refuses_iters_above_cap(capsys, monkeypatch):
+    def no_law(*args):
+        raise AssertionError("law measured above the cap")
+
+    monkeypatch.setattr(trielab.cli, "law_ks", no_law)
+    cap = trielab.cli.MAX_CONTRACTION_ITERS
+    code, out, err = run(capsys, "contraction", *CHAIN, "--iters", str(cap + 1))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"iters {cap + 1} is above the cap of {cap} iterations" in err
+
+
+@pytest.mark.parametrize("flag", [["--m", "2000"], ["--m", "0.5"], ["--seed", "1"]])
+def test_contraction_has_no_sample_size_or_seed(capsys, flag):
+    # the laws are exact; --m must not pass as a prefix of --mu0 either
+    with pytest.raises(SystemExit) as exc:
+        main(["contraction", *CHAIN, "--iters", "2", *flag])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", *CHAIN, "--n-max", "32", "--out", "{missing}/table.csv"],
+    ["simulate", *CHAIN, "--n", "64", "--m", "20", "--threads", "1", "--samples", "{dir}"],
+    ["trie-stats", *CHAIN, "--n", "50", "--histogram", "{missing}/hist.csv"],
+], ids=["out", "samples", "histogram"])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert argv[-1] in err
 
 
 def test_invalid_chain_is_usage_error(capsys):
@@ -399,11 +434,11 @@ def test_public_names_resolve():
 
 def test_contraction_json(tmp_path, capsys):
     out = tmp_path / "iters.csv"
-    argv = ["contraction", *CHAIN, "--iters", "2", "--m", "2000", "--seed", "1",
-            "--out", str(out)]
+    argv = ["contraction", *CHAIN, "--iters", "2", "--out", str(out)]
     code, report, _ = run_json(capsys, *argv)
     assert code == EXIT_OK
     validate(report, "contraction")
+    assert report["manifest"]["seed"] is None
     assert [r["iteration"] for r in report["rows"]] == [0, 1, 2]
     assert report["final_ks"] == pytest.approx(
         max(report["rows"][-1]["ks0"], report["rows"][-1]["ks1"]))
@@ -486,7 +521,7 @@ def test_cli_imports_no_scipy(tmp_path):
         ["oracle", *CHAIN, "--n-max", "32", "--out", str(tmp_path / "oracle.csv")],
         ["poisson-check", *CHAIN, "--lambdas", "5,20", "--n-max", "128"],
         ["simulate", *CHAIN, "--n", "64", "--m", "300", "--seed", "5"],
-        ["contraction", *CHAIN, "--iters", "2", "--m", "2000", "--seed", "1"],
+        ["contraction", *CHAIN, "--iters", "2"],
         ["trie-stats", *CHAIN, "--n", "500", "--seed", "3"],
         ["verify", *CHAIN, "--budget", "quick"],
     ]

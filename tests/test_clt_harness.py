@@ -11,20 +11,19 @@ from trielab.clt_harness import (
     BadScale,
     EmptyCloud,
     SingularFit,
-    apply_T,
     fit_growth_values,
     fit_variance_growth,
     ks_distance,
     simulate_epl,
     standardize,
     summary,
-    uniform_cloud,
 )
 from trielab.exact_moments import root_split
 from trielab.markov_source import MarkovChain, stream_seeds, uniforms_at
 from trielab.spectral import sigma_squared
 
 from poisson_sim import _POISSON_SIZE_SALT, poisson_sizes, simulate_epl_poisson
+from resample_map import apply_T, uniform_cloud
 
 
 @pytest.fixture(scope="module")
