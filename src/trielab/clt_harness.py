@@ -51,6 +51,9 @@ _SQRT_HALF = math.sqrt(0.5)
 # dx = 2 * 12 / 2^13, is the floor of `law_ks` (1.7e-7)
 _LAW_POINTS = 2**13
 _LAW_HALF_WIDTH = 12.0
+# where a bound on log|phi| lies below this, `law_ks` takes phi as 0; the
+# grid's 4,097 frequencies then move its CDF by at most 2 * 4,097 * 1e-20
+_LOG_PHI_FLOOR = math.log(1e-20)
 
 
 def summary(x: np.ndarray) -> dict:
@@ -200,14 +203,35 @@ def _log_characteristic(law: dict, chain: MarkovChain, t: np.ndarray):
     sinc(sqrt(3) w t), so phi is the product over classes of that factor to
     the class multiplicity: the logs are summed, and phi is negative where an
     odd number of classes of odd multiplicity have a negative factor.
+
+    Each factor has a bound with no sine in it: |sinc(x)| <= 1/x, and for
+    x < pi also log|sinc(x)| <= -x^2 / 6 (the series of log sinc has only
+    negative terms there).  Where the product of these bounds lies below
+    exp(_LOG_PHI_FLOOR), no factor is evaluated and phi is taken as 0 (log
+    -inf, sign +1); on a law near the normal that leaves a few dozen of the
+    grid's frequencies.
     """
     logp = np.log([chain.p00, chain.p01, chain.p10, chain.p11])
-    w = np.exp(0.5 * (np.array(list(law), dtype=np.float64) @ logp))
-    log_sinc, negative = _log_sinc(math.sqrt(3.0) * w[:, None] * t)
-    mults = list(law.values())
-    odd = np.array([m % 2 for m in mults], dtype=bool)
-    parity = np.count_nonzero(negative[odd], axis=0) % 2
-    return np.array(mults, dtype=np.float64) @ log_sinc, 1 - 2 * parity
+    a = math.sqrt(3.0) * np.exp(0.5 * (np.array(list(law), dtype=np.float64) @ logp))
+    mults = np.array(list(law.values()), dtype=np.float64)
+    # the bound's log at each t: -mult log(a t) summed over the classes with
+    # a t >= pi and -mult (a t)^2 / 6 over the others, from running sums over
+    # the classes in decreasing order of a
+    order = np.argsort(-a)
+    log_a = np.log(a[order])
+    count, weighted, square = (np.concatenate(([0.0], np.cumsum(mults[order] * v)))
+                               for v in (1.0, log_a, a[order] ** 2))
+    log_t = np.log(np.maximum(t, np.finfo(np.float64).tiny))
+    j = np.searchsorted(-log_a, log_t - math.log(math.pi), side="right")
+    bound = -(count[j] * log_t + weighted[j]) - t * t / 6.0 * (square[-1] - square[j])
+    measured = bound >= _LOG_PHI_FLOOR
+    log_sinc, negative = _log_sinc(a[:, None] * t[measured])
+    odd = mults % 2 == 1
+    log_abs = np.full(t.shape, -np.inf)
+    log_abs[measured] = mults @ log_sinc
+    sign = np.ones(t.shape, dtype=np.int64)
+    sign[measured] = 1 - 2 * (np.count_nonzero(negative[odd], axis=0) % 2)
+    return log_abs, sign
 
 
 def _law_cdf(law: dict, chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ generate concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,39 +171,41 @@ def uniforms_at(
     out: np.ndarray | None = None,
     tmp: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Uniform in [0, 1 - 2^-53] driving bit `positions` of stream `sub_seeds`.
+    """53-bit numerators k of the uniforms k * 2^-53 driving bit `positions` of
+    stream `sub_seeds`, as uint64 in [0, 2^53).
 
     A pure function of (sub-seed, position); the arguments broadcast, so one
     call serves many streams at one position or one stream at many positions.
-    `out` (float64) receives the uniforms and `tmp` (uint64) is the mixer's
-    scratch, both of the broadcast shape; a caller drawing level after level
-    passes the same buffers each time instead of allocating three arrays a call.
+    `out` receives the numerators and `tmp` is the mixer's scratch, both uint64
+    of the broadcast shape; a caller drawing level after level passes the same
+    buffers each time instead of allocating two arrays a call.  A caller that
+    needs the uniform itself multiplies by 2.0**-53, which is exact.
     """
     z = np.array(positions, dtype=np.uint64)
     z *= np.uint64(_GOLDEN)
-    # the mixed words go into out's own bytes, and the shifted ones into tmp,
-    # since numpy copies an operand that aliases the output under another dtype
-    u64 = np.add(z, np.asarray(sub_seeds, dtype=np.uint64),
-                 out=None if out is None else out.view(np.uint64))
+    k = np.add(z, np.asarray(sub_seeds, dtype=np.uint64), out=out)
     if tmp is None:
-        tmp = np.empty_like(u64)
-    u64 = _mix64(u64, tmp)
-    np.right_shift(u64, np.uint64(11), out=tmp)
-    return np.multiply(tmp, 2.0**-53, out=out)
+        tmp = np.empty_like(k)
+    k = _mix64(k, tmp)
+    return np.right_shift(k, np.uint64(11), out=k)
 
 
 START = 2  # bit-rule state before the first bit
 
 
-def bit_thresholds(chain: MarkovChain) -> list[float]:
-    """The Markov bit rule as thresholds [p00, p10, mu0].
+def bit_thresholds(chain: MarkovChain) -> list[int]:
+    """The Markov bit rule as integer thresholds on the 2^-53 lattice.
 
-    The bit driven by uniform u is `u >= thresholds[state]`, where `state` is
-    the previous bit, or START before the first bit.  Uniforms lie in
-    [0, 1 - 2^-53], so a delta initial law is exact: mu0 = 1.0 always gives a
-    first bit 0 and mu0 = 0.0 always gives 1.
+    The thresholds are [ceil(p00 2^53), ceil(p10 2^53), ceil(mu0 2^53)], and
+    the bit driven by numerator k (see `uniforms_at`) is
+    `k >= thresholds[state]`, where `state` is the previous bit, or START
+    before the first bit.  Scaling by 2^53 is exact and k is an integer, so
+    `k >= ceil(t 2^53)` holds exactly when `k 2^-53 >= t`: the rule is the
+    float rule `u >= t` on the uniform u = k 2^-53.  Numerators lie in
+    [0, 2^53), so a delta initial law is exact: mu0 = 1.0 (threshold 2^53)
+    always gives a first bit 0 and mu0 = 0.0 (threshold 0) always gives 1.
     """
-    return [chain.p00, chain.p10, chain.mu0]
+    return [math.ceil(t * 2.0**53) for t in (chain.p00, chain.p10, chain.mu0)]
 
 
 class BitStream:
@@ -226,8 +229,8 @@ class BitStream:
         stop = max(length, 2 * start, 16)
         bits, thresholds = self._bits, self._thresholds
         state = bits[-1] if bits else START
-        for u in uniforms_at(self.sub_seed, np.arange(start, stop)).tolist():
-            state = int(u >= thresholds[state])
+        for k in uniforms_at(self.sub_seed, np.arange(start, stop)).tolist():
+            state = int(k >= thresholds[state])
             bits.append(state)
 
     def bit(self, position: int) -> int:

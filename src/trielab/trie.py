@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from trielab.markov_source import (
-    START,
     BitStream,
     MarkovChain,
     bit_thresholds,
@@ -40,22 +39,24 @@ from trielab.markov_source import (
 # Xeon); the chunk also bounds the kernel's memory to a few MB whatever the
 # total, however ragged the sizes.
 #
-# Those per-string arrays are four uint64 rows and one bool row, allocated once
-# per call as wide as any of its chunks can be (2.06 MiB at 2**16 strings) and
-# reused by every level of every chunk.  Allocated afresh on each level, the 512 KiB
-# arrays went back to the OS when freed (glibc trims its heap) and were faulted
-# in again on the next level: verify's mean item (n = 16, 256, 1024 at
-# m = 20000, 2 threads) took 402,000-613,000 minor faults and 1.5-1.7 s of
-# system time, against 6,400-8,300 faults and 0.3-0.55 s with the rows
+# Those per-string arrays are four uint64 rows and three bool rows, allocated
+# once per call as wide as any of its chunks can be (2.19 MiB at 2**16 strings)
+# and reused by every level of every chunk.  Allocated afresh on each level,
+# the 512 KiB arrays went back to the OS when freed (glibc trims its heap) and
+# were faulted in again on the next level: verify's mean item (n = 16, 256,
+# 1024 at m = 20000, 2 threads) took 402,000-613,000 minor faults and 1.5-1.7 s
+# of system time, against 6,400-8,300 faults and 0.3-0.55 s with the rows
 # (2-core Xeon, glibc 2.36).
 _CHUNK_ELEMENTS = 1 << 16
 # On a level where strings leave, the survivors past the new end move into
 # the places the leavers held before it, which costs work in proportion to the
-# leavers; a flatnonzero and two takes into the spare rows cost work in
-# proportion to the survivors.  At 65,536 strings, 64 against 201 us at 99%
-# survival, 143 against 182 us at 90% and the same near 85% (2-core Xeon,
-# median of 200, randomly placed leavers).
-_FILL_SURVIVAL = 0.9
+# leavers; a flatnonzero and three takes (sub-seed, key, state) into the spare
+# rows cost work in proportion to the survivors.  At 65,536 strings, 64 against
+# 290 us at 99% survival, 164 against 265 us at 90%, 204 against 248 us at 80%
+# and 258 against 243 us at 70% (2-core Xeon, median of 300, randomly placed
+# leavers); against 0.9, this cut sped the kernel up 1-2.5% at n = 16, 256 and
+# 2048.
+_FILL_SURVIVAL = 0.75
 
 
 class DepthExceeded(RuntimeError):
@@ -153,7 +154,7 @@ def batch_external_path_lengths(
     # chunk's (replicate, index) grid can be
     width = max(min(len(sizes) * largest, _CHUNK_ELEMENTS), largest)
     rows = np.empty((4, width), dtype=np.uint64)
-    flags = np.empty(width, dtype=bool)
+    flags = np.empty((3, width), dtype=bool)
     bounds = sizes.tolist()
     start = 0
     while start < len(bounds):
@@ -181,20 +182,29 @@ def _epl_chunk(
     rows: np.ndarray,
     flags: np.ndarray,
 ) -> None:
-    # Per string only its sub-seed and doubled group key `key2` are carried.
-    # Groups hold >= 2 strings; group g has key2 = 2g, belongs to replicate
-    # grep[g], has gsize[g] members and draws its next bit against threshold
-    # gthr[2g] (gthr[2g + 1] is its copy, never read).  A string's next key is
-    # key2 + bit; the relabel table sends it to 2 * rank of that child group
-    # among the children with >= 2 members, so groups stay sorted by
-    # replicate, and to -1 where the child holds the string alone.
+    # Per string its sub-seed, its doubled group key `key2` and its previous
+    # bit `state` are carried.  Groups hold >= 2 strings; group g has
+    # key2 = 2g, belongs to replicate grep[g] and has gsize[g] members.  A
+    # string's next key is key2 + bit; the relabel table sends it to
+    # 2 * rank of that child group among the children with >= 2 members, so
+    # groups stay sorted by replicate, and to -1 where the child holds the
+    # string alone.
+    #
+    # The bit rule needs no per-group table: with b0 = k >= t0 and
+    # b1 = k >= t1 on the string's 53-bit numerator k, the bit is b0 where
+    # the state is 0 and b1 where it is 1, that is b0 ^ ((b0 ^ b1) & state);
+    # the first bit is k >= t_start.  All compares are on int64 views, with
+    # no float pass.
     #
     # Every per-string array lives in the first `live` entries of a row: the
     # sub-seeds in s_row, the keys (as int64) in k_row, while a_row and b_row
-    # hold the level's uniforms, thresholds and relabel table.  The four
-    # uint64 rows swap these roles instead of being freed and allocated
-    # again, and `flags` holds the per-string booleans.
-    thresholds = np.array(bit_thresholds(chain))
+    # hold the level's numerators and relabel table.  The four uint64 rows swap
+    # these roles instead of being freed and allocated again.  Of the three
+    # bool rows in `flags`, `state` holds the previous bits, `bit` receives the
+    # level's bits and `spare` is scratch; the level's bits become the next
+    # level's states by swapping rows, and compaction moves the states with the
+    # sub-seeds and keys.
+    t0, t1, t_start = (np.int64(t) for t in bit_thresholds(chain))
     grep = np.flatnonzero(sizes >= 2)
     gsize = sizes[grep]
     if not grep.size:
@@ -217,7 +227,7 @@ def _epl_chunk(
         s_row, k_row, a_row, b_row = rows
     else:
         s_row, k_row, a_row, b_row = rows[2], rows[3], rows[0], rows[1]
-    gthr = np.full(2 * grep.size, thresholds[START])
+    state_row, bit_row, spare_row = flags
     # strings of each replicate still in a group; they change only on levels
     # where strings leave (float sums stay exact far beyond any EPL here)
     alive_per_rep = np.where(sizes >= 2, sizes, 0)
@@ -239,38 +249,55 @@ def _epl_chunk(
         # everyone left shares a group, so everyone consumes one symbol here;
         # the child keys are formed in place
         epl += alive_per_rep
-        u = uniforms_at(sub, depth, out=a_row[:live].view(np.float64), tmp=b_row[:live])
-        key2 += np.greater_equal(
-            u, gthr.take(key2, out=b_row[:live].view(np.float64), mode="clip"),
-            out=flags[:live])
+        k = uniforms_at(sub, depth, out=a_row[:live], tmp=b_row[:live]).view(np.int64)
+        bit = bit_row[:live]
+        if depth:
+            spare = spare_row[:live]
+            np.greater_equal(k, t0, out=bit)
+            np.greater_equal(k, t1, out=spare)
+            spare ^= bit
+            spare &= state_row[:live]
+            bit ^= spare
+        else:
+            np.greater_equal(k, t_start, out=bit)
+        key2 += bit
+        state_row, bit_row = bit_row, state_row
         counts = np.bincount(key2, minlength=2 * grep.size)
         alive = np.flatnonzero(counts >= 2)
-        lookup = a_row[:counts.size].view(np.int64)
-        lookup.fill(-1)
-        lookup[alive] = np.arange(0, 2 * alive.size, 2)
-        key2 = lookup.take(key2, out=b_row[:live].view(np.int64), mode="clip")
-        k_row, b_row = b_row, k_row
-        grep, gsize, gthr = grep[alive >> 1], counts[alive], thresholds[alive & 1].repeat(2)
+        if alive.size == counts.size:
+            # every child has >= 2 members: child c is group c, so its key is 2c
+            key2 <<= 1
+        else:
+            lookup = a_row[:counts.size].view(np.int64)
+            lookup.fill(-1)
+            lookup[alive] = np.arange(0, 2 * alive.size, 2)
+            key2 = lookup.take(key2, out=b_row[:live].view(np.int64), mode="clip")
+            k_row, b_row = b_row, k_row
+        grep, gsize = grep[alive >> 1], counts[alive]
         # compact only on levels where strings left
         survivors = int(gsize.sum())
         if survivors < live:
             alive_per_rep = np.bincount(grep, weights=gsize, minlength=len(sizes))
+            state, mask = state_row[:live], spare_row[:live]
             if survivors >= _FILL_SURVIVAL * live:
                 # the few survivors behind position `survivors` move into the
                 # places of the strings that left before it; order is free,
                 # since nothing downstream depends on where a string sits
-                gone = np.flatnonzero(np.less(key2, 0, out=flags[:live]))
+                gone = np.flatnonzero(np.less(key2, 0, out=mask))
                 holes = gone[:np.searchsorted(gone, survivors)]
-                tail = flags[survivors:live]
+                tail = mask[survivors:]
                 moved = np.flatnonzero(np.logical_not(tail, out=tail))
                 moved += survivors
                 sub[holes] = sub[moved]
                 key2[holes] = key2[moved]
+                state[holes] = state[moved]
             else:
-                keep = np.flatnonzero(np.greater_equal(key2, 0, out=flags[:live]))
+                keep = np.flatnonzero(np.greater_equal(key2, 0, out=mask))
                 sub.take(keep, out=a_row[:survivors], mode="clip")
                 key2.take(keep, out=b_row[:survivors].view(np.int64), mode="clip")
+                state.take(keep, out=bit_row[:survivors], mode="clip")
                 s_row, k_row, a_row, b_row = a_row, b_row, s_row, k_row
+                state_row, bit_row = bit_row, state_row
             live = survivors
         depth += 1
     out += epl.astype(np.int64)

@@ -29,7 +29,7 @@ def poisson_sizes(lam: float, m: int, seed: int) -> np.ndarray:
     if lam == 0.0:
         return np.zeros(m, dtype=np.intp)
     top = _window(lam, math.inf)[1]
-    u = uniforms_at(stream_seeds(seed, _POISSON_SIZE_SALT), np.arange(m))
+    u = uniforms_at(stream_seeds(seed, _POISSON_SIZE_SALT), np.arange(m)) * 2.0**-53
     return np.searchsorted(np.cumsum(_weights(lam, 0, top)), u, side="right")
 
 

@@ -33,7 +33,7 @@ def apply_T(
         raise EmptyCloud("both clouds must be nonempty")
 
     def draws(salt: int, count: int, source: np.ndarray) -> np.ndarray:
-        u = uniforms_at(stream_seeds(seed, salt), np.arange(count))
+        u = uniforms_at(stream_seeds(seed, salt), np.arange(count)) * 2.0**-53
         return source[(u * source.size).astype(np.int64)]
 
     r00, r01, r10, r11 = (math.sqrt(p) for p in (chain.p00, chain.p01, chain.p10, chain.p11))
@@ -44,5 +44,5 @@ def apply_T(
 
 def uniform_cloud(m: int, seed: int) -> np.ndarray:
     """Standardized uniform samples (mean 0, variance 1), counter seeded."""
-    u = uniforms_at(stream_seeds(seed, 100), np.arange(m))
+    u = uniforms_at(stream_seeds(seed, 100), np.arange(m)) * 2.0**-53
     return (u - 0.5) * math.sqrt(12.0)

@@ -539,3 +539,26 @@ print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_csv_writer_keeps_one_type_per_column(tmp_path, capsys, monkeypatch):
+    # the writer builds one `%` format from the first row's types (`%d` for
+    # an int), so a later float in an int column would be printed truncated
+    seen = {}
+    original = trielab.cli._write_csv
+
+    def recording(path, manifest, header, rows):
+        rows = [tuple(row) for row in rows]
+        seen[manifest["subcommand"]] = [{type(v) for v in column} for column in zip(*rows)]
+        original(path, manifest, header, rows)
+
+    monkeypatch.setattr(trielab.cli, "_write_csv", recording)
+    for argv in (["oracle", *CHAIN, "--n-max", "32", "--out"],
+                 ["poisson-check", *CHAIN, "--lambdas", "5,20", "--n-max", "128", "--out"],
+                 ["simulate", *CHAIN, "--n", "64", "--m", "300", "--seed", "5", "--samples"],
+                 ["contraction", *CHAIN, "--iters", "2", "--out"],
+                 ["trie-stats", *CHAIN, "--n", "500", "--seed", "3", "--histogram"]):
+        assert run(capsys, *argv, str(tmp_path / f"{argv[0]}.csv"))[0] == EXIT_OK
+    assert set(seen) == set(SUBCOMMANDS) - {"analyze", "verify"}
+    for sub, columns in seen.items():
+        assert columns and all(len(types) == 1 for types in columns), (sub, columns)

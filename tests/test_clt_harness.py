@@ -136,7 +136,7 @@ def test_poisson_sizes_follow_poisson_law():
         assert np.max(np.abs(ecdf - stats.poisson.cdf(ks, lam))) <= 2.0 / math.sqrt(m)
         # draw for draw the same sizes as inverting scipy's Poisson CDF
         top = math.ceil(lam + 12.0 * math.sqrt(lam) + 12.0)
-        u = uniforms_at(stream_seeds(5, _POISSON_SIZE_SALT), np.arange(m))
+        u = uniforms_at(stream_seeds(5, _POISSON_SIZE_SALT), np.arange(m)) * 2.0**-53
         cdf = special.pdtr(np.arange(top + 1), lam)
         assert np.array_equal(sizes, np.searchsorted(cdf, u, side="right"))
     assert (poisson_sizes(3.5, m, 5) != poisson_sizes(3.5, m, 6)).any()

@@ -171,3 +171,25 @@ def test_label_swap_swaps_exact_ks(p00, p11):
     for (law0, law1), (swap0, swap1) in zip(iterates(10), iterates(10)):
         assert abs(law_ks(law0, chain) - law_ks(swap1, swapped)) <= 1e-14
         assert abs(law_ks(law1, chain) - law_ks(swap0, swapped)) <= 1e-14
+
+
+@pytest.mark.parametrize("p00, p11", [(0.6, 0.7), (0.3, 0.99), (0.5, 0.5), EDGE])
+def test_characteristic_cutoff_drops_only_negligible_frequencies(p00, p11):
+    # the frequencies at which phi is taken as 0 are those where every sinc
+    # factor, evaluated anyway, puts |phi| below 1e-20; elsewhere |phi| is the
+    # product of the factors (compared as |phi|, since log|phi| near a zero of
+    # a factor magnifies the rounding of its weight)
+    chain = MarkovChain(0.5, p00, p11)
+    t = math.pi / 12.0 * np.arange(2**12 + 1)
+    dropped_any = False
+    for law0, law1 in iterates(16):
+        for law in (law0, law1):
+            log_abs, _ = _log_characteristic(law, chain, t)
+            a = np.sqrt([3.0 * square_weight(key, chain) for key in law])
+            full = np.array(list(law.values()), dtype=np.float64) @ _log_sinc(a[:, None] * t)[0]
+            dropped = np.isneginf(log_abs)
+            assert (full[dropped] <= math.log(1e-20)).all()
+            assert np.allclose(np.exp(log_abs), np.exp(full), rtol=1e-12, atol=1e-15)
+            dropped_any |= dropped.any()
+    # on the edge chain a heavy stay path keeps phi above 1e-20 to the last t
+    assert dropped_any != ((p00, p11) == EDGE)

@@ -151,9 +151,9 @@ def test_replicate_seed_scalar_matches_array():
 def test_uniform_block_range_and_consistency():
     sub = stream_seeds(7, 3)
     u = uniforms_at(sub, np.arange(4096))
-    assert u.shape == (4096,)
-    assert (u >= 0.0).all() and (u < 1.0).all()
-    assert 0.45 <= u.mean() <= 0.55
+    assert u.shape == (4096,) and u.dtype == np.uint64
+    assert (u < 2**53).all()
+    assert 0.45 <= (u * 2.0**-53).mean() <= 0.55
     # point access agrees with the block
     subs = np.array([sub, sub], dtype=np.uint64)
     at = uniforms_at(subs, 100)
@@ -182,15 +182,28 @@ def test_forced_initial_bit():
 
 
 def test_bit_thresholds_at_extreme_uniforms():
-    # uniforms lie in [0, 1 - 2^-53]; at both ends the first bit must be the
+    # numerators lie in [0, 2^53); at both ends the first bit must be the
     # only bit a degenerate initial law (mu0 in {0, 1}) allows
-    lowest, highest = 0.0, 1.0 - 2.0**-53
+    lowest, highest = 0, 2**53 - 1
     for mu0, expected in ((0.0, (1, 1)), (0.3, (0, 1)), (1.0, (0, 0))):
         chain = MarkovChain(mu0, 0.6, 0.7)
         thresholds = bit_thresholds(chain)
-        assert thresholds == [chain.p00, chain.p10, mu0]
+        assert thresholds == [math.ceil(t * 2**53) for t in (chain.p00, chain.p10, mu0)]
+        assert all(type(t) is int for t in thresholds)
         first = thresholds[START]
         assert (int(lowest >= first), int(highest >= first)) == expected
+
+
+def test_lattice_rule_matches_float_rule_at_its_edges():
+    # k >= ceil(t 2^53) holds exactly when the uniform k 2^-53 >= t, at each
+    # threshold and on either side of it, for every entry of the table
+    for t in (0.0, PROB_FLOOR, 0.3, 0.6, 0.7, 1.0 - PROB_FLOOR, 1.0):
+        p = min(max(t, PROB_FLOOR), 1.0 - PROB_FLOOR)
+        chain = MarkovChain(t, p, p)
+        for T, prob in zip(bit_thresholds(chain), (chain.p00, chain.p10, chain.mu0)):
+            for k in (T - 1, T, T + 1):
+                if 0 <= k < 2**53:
+                    assert (k >= T) == (k * 2.0**-53 >= prob), (prob, k)
 
 
 def test_initial_bit_frequency():
@@ -238,7 +251,7 @@ _PINNED_REPLICATE_SEEDS = {  # seed -> replicate_seed(seed, i) for i in _PINNED_
     2**64 - 1: (0xbb762878dfea595f, 0xa5842498ac87e5cd, 0x81b4f80334d0b764),
     20240817: (0x54dff177f84476cc, 0x4548878ad704f8b6, 0x56257a882452378b),
 }
-_PINNED_UNIFORMS = {  # position -> uniforms_at(stream_seeds(20240817, _PINNED_INDICES), position)
+_PINNED_UNIFORMS = {  # position -> uniforms_at(stream_seeds(20240817, _PINNED_INDICES), position) * 2^-53
     0: ('0x1.4bf76bf5c8271p-1', '0x1.b26d229cb631cp-2', '0x1.e1d425b1738ecp-3'),
     1: ('0x1.c878f697ada36p-2', '0x1.3b7e3e4fd30aap-1', '0x1.8b2f3e87caa24p-3'),
     10**6: ('0x1.4ff8534dbf840p-3', '0x1.b0a5a046ab732p-1', '0x1.4be1fdd0f9bdbp-1'),
@@ -265,7 +278,7 @@ def test_streams_match_pinned_values():
         assert tuple(replicate_seed(seed, i) for i in _PINNED_INDICES) == words
     subs = stream_seeds(20240817, np.array(_PINNED_INDICES))
     for position, values in _PINNED_UNIFORMS.items():
-        assert [float(u).hex() for u in uniforms_at(subs, position)] == list(values)
+        assert [float(u).hex() for u in uniforms_at(subs, position) * 2.0**-53] == list(values)
     for (mu0, p00, p11), words in _PINNED_BITS.items():
         streams = generate_strings(MarkovChain(mu0, p00, p11), 3, 20240817)
         assert tuple(int("".join(map(str, s.prefix(64))), 2) for s in streams) == words
@@ -285,10 +298,10 @@ def test_output_buffers_change_no_bit():
     assert (_mix64(x.copy(), tmp) == _mix64(x.copy())).all()
     subs = stream_seeds(20240817, np.array(_PINNED_INDICES))
     for position, values in _PINNED_UNIFORMS.items():
-        out, tmp = np.full(3, np.nan), np.empty(3, dtype=np.uint64)
+        out, tmp = np.zeros(3, dtype=np.uint64), np.empty(3, dtype=np.uint64)
         got = uniforms_at(subs, position, out=out, tmp=tmp)
         assert got is out
-        assert [float(u).hex() for u in out] == list(values)
+        assert [float(u).hex() for u in out * 2.0**-53] == list(values)
     for seed, words in _PINNED_STREAM_SEEDS.items():
         out, tmp = np.zeros(3, dtype=np.uint64), np.empty(3, dtype=np.uint64)
         assert stream_seeds(seed, np.array(_PINNED_INDICES), out=out, tmp=tmp) is out
@@ -299,8 +312,7 @@ def test_output_buffers_change_no_bit():
     grid = stream_seeds(seeds[:, None], np.arange(50),
                         out=rows[0].reshape(7, 50), tmp=rows[1].reshape(7, 50))
     assert grid.base is rows and (grid == stream_seeds(seeds[:, None], np.arange(50))).all()
-    # uniforms of the grid's strings at one position, through float64 and
-    # uint64 views of two rows
+    # uniforms of the grid's strings at one position, into two rows
     flat = grid.ravel().copy()
-    u = uniforms_at(flat, 17, out=rows[0].view(np.float64), tmp=rows[1])
+    u = uniforms_at(flat, 17, out=rows[0], tmp=rows[1])
     assert u.base is rows and (u == uniforms_at(flat, 17)).all()

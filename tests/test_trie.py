@@ -288,6 +288,54 @@ def test_batch_kernel_matches_build_on_edge_chains(mu0, p00, p11, n, seed):
     assert batch == direct
 
 
+@pytest.mark.parametrize("mu0, p00, p11", [
+    (0.0, 0.6, 0.7), (1.0, 0.6, 0.7), (0.5, PROB_FLOOR, 0.5), (0.5, 0.5, PROB_FLOOR),
+    (0.0, PROB_FLOOR, 0.3), (1.0, 0.3, PROB_FLOOR), (0.5, PROB_FLOOR, PROB_FLOOR),
+])
+def test_batch_kernel_matches_bitstreams_at_lattice_edges(mu0, p00, p11):
+    # thresholds 0 and 2^53 for the first bit, ceil(PROB_FLOOR 2^53) and its
+    # complement for later ones: the kernel's bool-state rule and BitStream's
+    # integer compare must give the same tries, or clash at the same depth
+    chain = MarkovChain(mu0, p00, p11)
+    for n, seed in ((2, 1), (40, 2), (300, 3)):
+        direct = _epl_or_depth(lambda: build_trie(generate_strings(chain, n, seed)).epl)
+        batch = _epl_or_depth(lambda: int(batch_external_path_lengths(
+            chain, [n], np.array([seed], dtype=np.uint64))[0]))
+        assert batch == direct
+
+
+# The bound on the two-sample z of the mean path length in the symmetry
+# certificates below, fixed before they were first run: an exact symmetry
+# exceeds it with probability 6.3e-5 per comparison.
+_SYMMETRY_Z = 4.0
+
+
+def _mean_gap_z(chain_a, chain_b, n=256, m=4000):
+    """Two-sample z of the kernel's mean path length on two chains, from
+    independent replicate seeds."""
+    a, b = (batch_external_path_lengths(chain, np.full(m, n), replicate_seed(seed, np.arange(m)))
+            for chain, seed in ((chain_a, 1), (chain_b, 2)))
+    return abs(a.mean() - b.mean()) / math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / m)
+
+
+@pytest.mark.parametrize("mu0, p00, p11", [(0.3, 0.6, 0.7), (0.0, 0.2, 0.9), (1.0, 0.5, 0.05)])
+def test_batch_kernel_label_swap_symmetry(mu0, p00, p11):
+    # renaming the symbols 0 <-> 1 turns chain (p00, p11, mu0) into
+    # (p11, p00, 1 - mu0) and every trie into its mirror image, of the same
+    # path length; strings start in both states and switch between them
+    z = _mean_gap_z(MarkovChain(mu0, p00, p11), MarkovChain(1.0 - mu0, p11, p00))
+    assert z <= _SYMMETRY_Z
+
+
+@pytest.mark.parametrize("mu0, p", [(0.5, 0.2), (0.0, 0.35), (0.8, 0.9)])
+def test_batch_kernel_xor_symmetry(mu0, p):
+    # XOR with 0101... keeps the first bit, turns every stay into a switch and
+    # back, and is one bijection of the strings of each length, so it keeps
+    # the trie's shape: (mu0, p, p) and (mu0, 1 - p, 1 - p) give one law
+    z = _mean_gap_z(MarkovChain(mu0, p, p), MarkovChain(mu0, 1.0 - p, 1.0 - p))
+    assert z <= _SYMMETRY_Z
+
+
 @given(st.sampled_from([0.5, 0.0, 1.0]), _EDGE_P, _EDGE_P,
        st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=40, deadline=None)
