@@ -100,7 +100,10 @@ def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0
     every string in state i.  Thread-parallel over replicate blocks; the
     counter-based seeding makes the output identical for any thread count.
     threads = 0 picks min(cpu count, 8), an explicit count is clamped to the
-    cpu count, and a negative count is a ValueError.
+    cpu count, and a negative count is a ValueError.  With more than one
+    worker, each kernel call is marked shared and packs 2**17-string chunks,
+    so the threads pass the GIL between half as many numpy calls; the gain was
+    measured at two threads on a 2-core machine, not beyond.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -120,7 +123,7 @@ def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0
         start, stop = block
         try:
             raw[start:stop] = batch_external_path_lengths(
-                chain, sizes[start:stop], seeds[start:stop]
+                chain, sizes[start:stop], seeds[start:stop], shared=threads > 1
             )
         except DepthExceeded as err:
             raise DepthExceeded(
@@ -209,11 +212,14 @@ def _log_characteristic(law: dict, chain: MarkovChain, t: np.ndarray):
     negative terms there).  Where the product of these bounds lies below
     exp(_LOG_PHI_FLOOR), no factor is evaluated and phi is taken as 0 (log
     -inf, sign +1); on a law near the normal that leaves a few dozen of the
-    grid's frequencies.
+    grid's frequencies.  A class whose weight underflows to 0 has the factor
+    sinc(0) = 1 at every t and is left out.
     """
     logp = np.log([chain.p00, chain.p01, chain.p10, chain.p11])
     a = math.sqrt(3.0) * np.exp(0.5 * (np.array(list(law), dtype=np.float64) @ logp))
     mults = np.array(list(law.values()), dtype=np.float64)
+    nonzero = a > 0.0
+    a, mults = a[nonzero], mults[nonzero]
     # the bound's log at each t: -mult log(a t) summed over the classes with
     # a t >= pi and -mult (a t)^2 / 6 over the others, from running sums over
     # the classes in decreasing order of a

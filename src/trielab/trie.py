@@ -47,6 +47,18 @@ from trielab.markov_source import (
 # 1024 at m = 20000, 2 threads) took 402,000-613,000 minor faults and 1.5-1.7 s
 # of system time, against 6,400-8,300 faults and 0.3-0.55 s with the rows
 # (2-core Xeon, glibc 2.36).
+#
+# A call made with shared=True, as `simulate_epl` makes when it runs more
+# than one worker thread, packs chunks of 2 * _CHUNK_ELEMENTS strings, so it
+# makes half as many numpy calls.  Threads hand the GIL over between numpy
+# calls, and a hand-off costs about as much as one pass over 2**16 uint64
+# (gaps of 23-47 us against passes of 23-33 us), so two kernel threads at
+# 2**16 convoy.  At n = 1024, m = 20000 on two threads, 2**17 cut the
+# voluntary context switches a call from 68-77K to 24-25K and the system time
+# from 0.50-0.74 to 0.34-0.46 s, and verify's full budget took 12-14% less wall
+# time (2-core Xeon).  Alone, a call keeps 2**16, where 2**17 costs 8-20% more
+# a string-level at n = 2048; 2**18 on two threads was no faster than 2**17
+# and took 14 MB more.
 _CHUNK_ELEMENTS = 1 << 16
 # On a level where strings leave, the survivors past the new end move into
 # the places the leavers held before it, which costs work in proportion to the
@@ -132,6 +144,7 @@ def batch_external_path_lengths(
     chain: MarkovChain,
     sizes: np.ndarray,
     rep_seeds: np.ndarray,
+    shared: bool = False,
 ) -> np.ndarray:
     """EPL of one fresh trie per replicate, fully vectorized across replicates.
 
@@ -139,7 +152,9 @@ def batch_external_path_lengths(
     of that replicate reproduces exactly what
     BitStream(chain, stream_seeds(rep_seeds[r], j)) would emit, so this kernel
     and `build_trie` are interchangeable routes to the same numbers, with the
-    same depth cap `default_max_depth` of the largest size.
+    same depth cap `default_max_depth` of the largest size.  `shared` says
+    that other threads run numpy work at the same time; the call then packs
+    chunks twice as large (see _CHUNK_ELEMENTS), with the same results.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     rep_seeds = np.asarray(rep_seeds, dtype=np.uint64)
@@ -150,9 +165,10 @@ def batch_external_path_lengths(
     largest = int(sizes.max(initial=0))
     max_depth = default_max_depth(largest)
     total = np.zeros(len(sizes), dtype=np.int64)
+    chunk = _CHUNK_ELEMENTS * (2 if shared else 1)
     # the rows every level of every chunk works in, as wide as the widest
     # chunk's (replicate, index) grid can be
-    width = max(min(len(sizes) * largest, _CHUNK_ELEMENTS), largest)
+    width = max(min(len(sizes) * largest, chunk), largest)
     rows = np.empty((4, width), dtype=np.uint64)
     flags = np.empty((3, width), dtype=bool)
     bounds = sizes.tolist()
@@ -161,7 +177,7 @@ def batch_external_path_lengths(
         stop, top = start + 1, bounds[start]
         while stop < len(bounds):
             widest = max(top, bounds[stop])
-            if (stop + 1 - start) * widest > _CHUNK_ELEMENTS:
+            if (stop + 1 - start) * widest > chunk:
                 break
             stop, top = stop + 1, widest
         _epl_chunk(

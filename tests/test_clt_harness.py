@@ -21,6 +21,8 @@ from trielab.clt_harness import (
 from trielab.exact_moments import root_split
 from trielab.markov_source import MarkovChain, stream_seeds, uniforms_at
 from trielab.spectral import sigma_squared
+import trielab.trie
+from trielab.trie import DepthExceeded, default_max_depth
 
 from poisson_sim import _POISSON_SIZE_SALT, poisson_sizes, simulate_epl_poisson
 from resample_map import apply_T, uniform_cloud
@@ -79,6 +81,43 @@ def test_simulation_thread_invariance(chain67, monkeypatch):
     assert single.dtype == np.float64
     assert (single == multi).all()
     assert (multi == again).all()
+
+
+def test_kernel_calls_are_shared_exactly_when_threads_run_together(chain67, monkeypatch):
+    # more than one worker marks every kernel call shared; one worker, asked
+    # for or clamped to, marks none
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("shared", False))
+        return original(*args, **kwargs)
+
+    original = trielab.clt_harness.batch_external_path_lengths
+    monkeypatch.setattr(trielab.clt_harness, "batch_external_path_lengths", recording)
+    monkeypatch.setattr(trielab.clt_harness.os, "cpu_count", lambda: 2)
+    for threads, want in ((1, [False]), (2, [True, True]), (0, [True, True])):
+        calls.clear()
+        simulate_epl(chain67, 16, 40, 5, threads=threads)
+        assert calls == want, threads
+    monkeypatch.setattr(trielab.clt_harness.os, "cpu_count", lambda: 1)
+    calls.clear()
+    simulate_epl(chain67, 16, 40, 5, threads=2)
+    assert calls == [False]
+
+
+def test_depth_cap_names_the_same_strings_at_any_thread_count(monkeypatch):
+    # the first chunk that fails holds the lowest failing replicate, whatever
+    # the chunk size, so one and two workers raise the same error
+    monkeypatch.setattr(trielab.trie, "_CHUNK_ELEMENTS", 1024)
+    monkeypatch.setattr(trielab.clt_harness.os, "cpu_count", lambda: 2)
+    chain = MarkovChain(0.5, 0.999, 0.999)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(DepthExceeded) as err:
+            simulate_epl(chain, 256, 24, 9, threads=threads)
+        errors.append((err.value.replicate, err.value.depth, err.value.indices))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == default_max_depth(256)
 
 
 def test_trivial_sizes_give_zero(chain67):

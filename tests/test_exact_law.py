@@ -162,6 +162,24 @@ def test_every_iterate_has_unit_variance_and_normal_curvature(p00, p11):
             assert np.max(np.abs(log_abs / (-0.5 * t * t) - 1.0)) <= 1e-12, (k, log_abs)
 
 
+def test_law_ks_leaves_out_classes_whose_weight_underflows():
+    # at p00 = 1e-6 a class of about 108 or more 0 -> 0 transitions has a
+    # weight below the smallest double; its factor is sinc(0) = 1 at every t,
+    # and the log of its zero weight warned (an error under this suite)
+    chain = MarkovChain(0.5, 1e-6, 0.99)
+    *_, (law0, law1) = iterates(120)
+    for law in (law0, law1):
+        half_log_weights = {key: 0.5 * sum(n * math.log(p) for n, p in zip(
+            key, (chain.p00, chain.p01, chain.p10, chain.p11))) for key in law}
+        assert min(half_log_weights.values()) < -760.0
+        # classes below -740 hold weights of 1e-321 or less, whose factors
+        # round to 1 wherever phi is measured
+        heavy = {key: law[key] for key, w in half_log_weights.items() if w > -740.0}
+        ks = law_ks(law, chain)
+        assert 0.0 < ks < 0.01
+        assert ks == pytest.approx(law_ks(heavy, chain), abs=1e-15)
+
+
 @pytest.mark.parametrize("p00, p11", [(0.6, 0.7), (0.3, 0.99), (0.05, 0.95), EDGE])
 def test_label_swap_swaps_exact_ks(p00, p11):
     # renaming the bits maps the laws of (p00, p11) to those of (p11, p00)

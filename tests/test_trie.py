@@ -170,6 +170,30 @@ def test_batch_kernel_reuses_rows_across_narrowing_chunks(chain67, monkeypatch):
     assert got.tolist() == want
 
 
+def test_batch_kernel_shared_chunks_give_the_same_epl(chain67, monkeypatch):
+    # a shared call packs chunks of 2 x _CHUNK_ELEMENTS strings; under a
+    # 1024-string chunk both sizes cut each list into several chunks, counted
+    # here as stream_seeds calls (one a chunk that holds a group)
+    chunks = []
+
+    def recording(*args, **kwargs):
+        chunks.append(True)
+        return original(*args, **kwargs)
+
+    original = trielab.trie.stream_seeds
+    monkeypatch.setattr(trielab.trie, "stream_seeds", recording)
+    monkeypatch.setattr(trielab.trie, "_CHUNK_ELEMENTS", 1024)
+    for sizes in (np.array(_RAGGED), np.full(100, 48)):
+        seeds = replicate_seed(23, np.arange(sizes.size))
+        chunks.clear()
+        alone = batch_external_path_lengths(chain67, sizes, seeds)
+        alone_chunks = len(chunks)
+        chunks.clear()
+        shared = batch_external_path_lengths(chain67, sizes, seeds, shared=True)
+        assert alone.tolist() == shared.tolist()
+        assert alone_chunks > len(chunks) > 1
+
+
 def test_batch_kernel_draws_once_per_live_string_and_level(chain67, monkeypatch):
     # the contract perfbench's probe reads: one uniforms_at call a level, at a
     # scalar position, over exactly the strings still in a group, so the
@@ -222,13 +246,15 @@ def test_batch_kernel_memory_stays_cache_sized():
     chain = MarkovChain(0.5, 0.6, 0.7)
     m, n = 400, 2048
     seeds = replicate_seed(5, np.arange(m))
-    tracemalloc.start()
-    try:
-        batch_external_path_lengths(chain, np.full(m, n), seeds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # a shared call's rows are twice as wide and must stay within the bound
+    for shared in (False, True):
+        tracemalloc.start()
+        try:
+            batch_external_path_lengths(chain, np.full(m, n), seeds, shared=shared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (shared, peak)
 
 
 def test_batch_kernel_memory_on_ragged_sizes():
