@@ -228,12 +228,10 @@ def _cmd_simulate(args) -> int:
         print("simulate: need n >= 2 and m >= 2 for a standardized run", file=sys.stderr)
         return EXIT_USAGE
     check_threads(args.threads)
-    table = _table(chain, max(16, args.n))
-    center, variance = root_split(chain, table, args.n)
-    if args.standardize == "oracle":
-        scale = math.sqrt(variance)
-    else:
-        scale = math.sqrt(sigma_squared(chain)[1] * args.n * math.log(args.n))
+    # sigma^2 refuses a symmetric chain, so take it before the table is built
+    sig2 = sigma_squared(chain)[1] if args.standardize == "asymptotic" else None
+    center, variance = root_split(chain, _table(chain, max(16, args.n)), args.n)
+    scale = math.sqrt(variance if sig2 is None else sig2 * args.n * math.log(args.n))
     cloud = simulate_epl(chain, args.n, args.m, args.seed, threads=args.threads)
     std = standardize(cloud, center, scale)
     moments = summary(std)

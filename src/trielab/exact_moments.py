@@ -95,8 +95,6 @@ def binomial_window(
         v = v[first:last]
         v *= 1.0 / v.sum()
         return k0 + first, v
-    if n == 0:
-        return 0, np.ones(1)
     mode = int((n + 1) * p)
     mode = min(max(mode, 0), n)
     half = int(10.0 * np.sqrt(n * p * q)) + 8
@@ -208,18 +206,14 @@ def root_split(chain: MarkovChain, table: MomentTable, n: int) -> tuple[float, f
     the split sending k strings to state 0 contributes nu_0[k] + nu_1[n-k]
     and var_0[k] + var_1[n-k].
 
-    A delta initial law mu0 = 1 - i puts weight 1.0 on the single split that
-    sends every string to state i, so this returns (nu_i[n], var_i[n]) exactly.
+    A delta initial law mu0 = 1 - i (and n = 0) needs no branch: its window is
+    the single split sending every string to state i, at weight 1.0, so this
+    returns (nu_i[n], var_i[n]) exactly.
     """
     if not 0 <= n <= table.N:
         raise ValueError(f"n={n} outside table horizon {table.N}")
-    if chain.mu0 <= 0.0:
-        ks, w = np.array([0]), np.ones(1)
-    elif chain.mu0 >= 1.0:
-        ks, w = np.array([n]), np.ones(1)
-    else:
-        k0, w = binomial_window(n, chain.mu0)
-        ks = np.arange(k0, k0 + len(w))
+    k0, w = binomial_window(n, chain.mu0)
+    ks = np.arange(k0, k0 + len(w))
     return mixture(w, table.nu[0][ks] + table.nu[1][n - ks],
                    table.var[0][ks] + table.var[1][n - ks])
 

@@ -28,16 +28,15 @@ from trielab.markov_source import (
     uniforms_at,
 )
 
-# A chunk holds consecutive replicates whose count times the largest size
-# among them is at most this many strings (a single larger replicate forms its
-# own chunk); that is the size of the (replicate, index) grid its sub-seeds
-# come from, and for equal sizes it is the chunk's string count.  Each level
-# makes a handful of passes over per-string arrays of 8 bytes a string, and at
-# 2**16 strings (512 KiB an array) they stay in a 2 MiB L2 cache between
-# passes.  Chunks of 2**20 strings and more stream every pass through main
-# memory and cost about 1.4 times as much per string (n = 2048 on a 2-core
-# Xeon); the chunk also bounds the kernel's memory to a few MB whatever the
-# total, however ragged the sizes.
+# A chunk holds `chunk // n` replicates of one size n, or one replicate when n
+# is larger, where `chunk` is this many strings (twice as many in a shared
+# call, see below); that (replicate, index) grid is where its sub-seeds come
+# from.  Each level makes a handful of passes over per-string arrays of 8
+# bytes a string, and at 2**16 strings (512 KiB an array) they stay in a 2 MiB
+# L2 cache between passes.  Chunks of 2**20 strings and more stream every pass
+# through main memory and cost about 1.4 times as much per string (n = 2048 on
+# a 2-core Xeon); the chunk also bounds the kernel's memory to a few MB
+# whatever the total, however ragged the sizes.
 #
 # Those per-string arrays are four uint64 rows and three bool rows, allocated
 # once per call as wide as any of its chunks can be (2.19 MiB at 2**16 strings)
@@ -152,9 +151,11 @@ def batch_external_path_lengths(
     of that replicate reproduces exactly what
     BitStream(chain, stream_seeds(rep_seeds[r], j)) would emit, so this kernel
     and `build_trie` are interchangeable routes to the same numbers, with the
-    same depth cap `default_max_depth` of the largest size.  `shared` says
-    that other threads run numpy work at the same time; the call then packs
-    chunks twice as large (see _CHUNK_ELEMENTS), with the same results.
+    same depth cap `default_max_depth` of the largest size.  Mixed sizes are
+    grouped by size, each group cut into chunks of one size; a replicate's
+    EPL does not depend on the replicates it shares a chunk with.  `shared`
+    says that other threads run numpy work at the same time; the call then
+    packs chunks twice as large (see _CHUNK_ELEMENTS), with the same results.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     rep_seeds = np.asarray(rep_seeds, dtype=np.uint64)
@@ -171,33 +172,26 @@ def batch_external_path_lengths(
     width = max(min(len(sizes) * largest, chunk), largest)
     rows = np.empty((4, width), dtype=np.uint64)
     flags = np.empty((3, width), dtype=bool)
-    bounds = sizes.tolist()
-    start = 0
-    while start < len(bounds):
-        stop, top = start + 1, bounds[start]
-        while stop < len(bounds):
-            widest = max(top, bounds[stop])
-            if (stop + 1 - start) * widest > chunk:
-                break
-            stop, top = stop + 1, widest
-        _epl_chunk(
-            chain, sizes[start:stop], rep_seeds[start:stop], max_depth, total[start:stop], start,
-            rows, flags
-        )
-        start = stop
+    # sorted(set()) rather than np.unique, which imports numpy.ma (1.7 MB)
+    for n in sorted(set(sizes[sizes >= 2].tolist())):
+        group = np.flatnonzero(sizes == n)
+        count = max(1, chunk // n)
+        for start in range(0, group.size, count):
+            reps = group[start:start + count]
+            total[reps] = _epl_chunk(chain, n, rep_seeds[reps], reps, max_depth, rows, flags)
     return total
 
 
 def _epl_chunk(
     chain: MarkovChain,
-    sizes: np.ndarray,
+    n: int,
     rep_seeds: np.ndarray,
+    replicates: np.ndarray,
     max_depth: int,
-    out: np.ndarray,
-    replicate_offset: int,
     rows: np.ndarray,
     flags: np.ndarray,
-) -> None:
+) -> np.ndarray:
+    """EPLs of one trie of n >= 2 strings per seed; `replicates` names them in errors."""
     # Per string its sub-seed, its doubled group key `key2` and its previous
     # bit `state` are carried.  Groups hold >= 2 strings; group g has
     # key2 = 2g, belongs to replicate grep[g] and has gsize[g] members.  A
@@ -221,33 +215,20 @@ def _epl_chunk(
     # level's states by swapping rows, and compaction moves the states with the
     # sub-seeds and keys.
     t0, t1, t_start = (np.int64(t) for t in bit_thresholds(chain))
-    grep = np.flatnonzero(sizes >= 2)
-    gsize = sizes[grep]
-    if not grep.size:
-        return
     # one stream_seeds call on the (replicate, index) grid, so the inner mix
-    # of index i is computed once for its whole column; rows are then cut to
-    # their replicate's size
-    top = int(gsize.max())
-    grid = (grep.size, top)
-    cells = grep.size * top
-    sub = stream_seeds(rep_seeds[grep, None], np.arange(top),
-                       out=rows[2, :cells].reshape(grid), tmp=rows[0, :cells].reshape(grid))
-    key2 = rows[3, :cells].view(np.int64).reshape(grid)
-    key2[...] = np.arange(0, 2 * grep.size, 2)[:, None]
-    live = int(gsize.sum())
-    if live < cells:
-        cut = np.arange(top) < gsize[:, None]
-        rows[0, :live] = sub[cut]
-        rows[1, :live].view(np.int64)[...] = key2[cut]
-        s_row, k_row, a_row, b_row = rows
-    else:
-        s_row, k_row, a_row, b_row = rows[2], rows[3], rows[0], rows[1]
+    # of index i is computed once for its whole column
+    count = len(rep_seeds)
+    grid, live = (count, n), count * n
+    stream_seeds(rep_seeds[:, None], np.arange(n),
+                 out=rows[2, :live].reshape(grid), tmp=rows[0, :live].reshape(grid))
+    rows[3, :live].view(np.int64).reshape(grid)[...] = np.arange(0, 2 * count, 2)[:, None]
+    s_row, k_row, a_row, b_row = rows[2], rows[3], rows[0], rows[1]
     state_row, bit_row, spare_row = flags
+    grep, gsize = np.arange(count), np.full(count, n)
     # strings of each replicate still in a group; they change only on levels
     # where strings leave (float sums stay exact far beyond any EPL here)
-    alive_per_rep = np.where(sizes >= 2, sizes, 0)
-    epl = np.zeros(len(sizes))
+    alive_per_rep = gsize
+    epl = np.zeros(count)
     depth = 0
     while live:
         sub, key2 = s_row[:live], k_row[:live].view(np.int64)
@@ -259,9 +240,9 @@ def _epl_chunk(
             bad = int(grep[0])
             last = np.searchsorted(grep, bad, side="right") - 1
             names = np.nonzero(np.isin(
-                stream_seeds(rep_seeds[bad], np.arange(sizes[bad])), sub[key2 == 2 * last]
+                stream_seeds(rep_seeds[bad], np.arange(n)), sub[key2 == 2 * last]
             ))[0]
-            raise DepthExceeded(names, depth, replicate_offset + bad)
+            raise DepthExceeded(names, depth, int(replicates[bad]))
         # everyone left shares a group, so everyone consumes one symbol here;
         # the child keys are formed in place
         epl += alive_per_rep
@@ -293,7 +274,7 @@ def _epl_chunk(
         # compact only on levels where strings left
         survivors = int(gsize.sum())
         if survivors < live:
-            alive_per_rep = np.bincount(grep, weights=gsize, minlength=len(sizes))
+            alive_per_rep = np.bincount(grep, weights=gsize, minlength=count)
             state, mask = state_row[:live], spare_row[:live]
             if survivors >= _FILL_SURVIVAL * live:
                 # the few survivors behind position `survivors` move into the
@@ -316,4 +297,4 @@ def _epl_chunk(
                 state_row, bit_row = bit_row, state_row
             live = survivors
         depth += 1
-    out += epl.astype(np.int64)
+    return epl.astype(np.int64)

@@ -144,6 +144,21 @@ def test_simulate_asymptotic_scale_rejects_symmetric_chain(capsys):
     assert err.startswith("invalid request: all transition probabilities equal 1/2")
 
 
+def test_simulate_asymptotic_scale_refuses_before_the_table(capsys, monkeypatch):
+    # the refusal needs no moment table, so none is built for it, however
+    # large the horizon
+    def no_table(*args):
+        raise AssertionError("moment table built for a symmetric chain")
+
+    monkeypatch.setattr(trielab.cli, "compute_moment_table", no_table)
+    monkeypatch.setattr(trielab.cli, "_cached_table", None)
+    code, out, err = run(capsys, "simulate", "--p00", "0.5", "--p11", "0.5",
+                         "--n", "32768", "--m", "2", "--standardize", "asymptotic")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("invalid request: all transition probabilities equal 1/2")
+
+
 def test_analyze_text(capsys):
     code, out, _ = run(capsys, "analyze", *CHAIN)
     assert code == EXIT_OK

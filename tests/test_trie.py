@@ -102,6 +102,24 @@ def test_batch_depth_error_names_one_clashing_group():
     assert ref.value.indices == names and ref.value.depth == depth
 
 
+def test_batch_depth_error_on_ragged_sizes_names_the_call_replicate():
+    # a chunk holds one size, so the replicate a chunk fails on is mapped back
+    # to its place in the call: here a 3-string trie behind a singleton
+    chain = MarkovChain(0.5, 0.5, 1.0 - PROB_FLOOR)
+    sizes = np.array([64, 5, 1, 3, 64])
+    seeds = replicate_seed(2, np.arange(sizes.size))
+    with pytest.raises(DepthExceeded) as err:
+        batch_external_path_lengths(chain, sizes, seeds)
+    r, depth, names = err.value.replicate, err.value.depth, err.value.indices
+    assert 0 <= r < sizes.size and sizes[r] >= 2
+    assert depth == default_max_depth(int(sizes.max()))
+    n = int(sizes[r])
+    streams = generate_strings(chain, n, seeds[r])
+    prefixes = {j: streams[j].prefix(depth).tobytes() for j in range(n)}
+    assert len(names) >= 2
+    assert set(names) == {j for j in range(n) if prefixes[j] == prefixes[names[0]]}
+
+
 def test_default_max_depth_grows():
     assert default_max_depth(0) == 128
     assert default_max_depth(1000) > default_max_depth(10)
@@ -154,9 +172,10 @@ def test_batch_kernel_chunking_at_default_size():
         assert (default[sizes <= 1] == 0).all()
 
 
-# widest first, so the rows serve ever narrower chunks after the lone 1500
-# under a 1024-string chunk: ragged chunks, an equal-size one (64 x 16) and
-# chunks of nothing but empty and singleton tries
+# under a 1024-string chunk the sizes run in ascending groups through rows as
+# wide as the lone 1500, which exceeds the chunk and runs alone last: the
+# three pairs share a chunk, the 64 tries of 16 fill one, every other size
+# has a chunk of its own, and the empty and singleton tries reach no chunk
 _RAGGED = [1500, 900, 600, 37, 2, 1, 0, 300, 2, 5, 0, 64, 3, 200, 1] + [16] * 64 + [1, 0, 2]
 
 
@@ -172,8 +191,10 @@ def test_batch_kernel_reuses_rows_across_narrowing_chunks(chain67, monkeypatch):
 
 def test_batch_kernel_shared_chunks_give_the_same_epl(chain67, monkeypatch):
     # a shared call packs chunks of 2 x _CHUNK_ELEMENTS strings; under a
-    # 1024-string chunk both sizes cut each list into several chunks, counted
-    # here as stream_seeds calls (one a chunk that holds a group)
+    # 1024-string chunk both sizes cut the equal-size list into several
+    # chunks, counted here as stream_seeds calls (one a chunk).  No group of
+    # _RAGGED outgrows one 1024-string chunk, so it gives no fewer chunks
+    # when shared, only the same EPLs
     chunks = []
 
     def recording(*args, **kwargs):
@@ -191,7 +212,8 @@ def test_batch_kernel_shared_chunks_give_the_same_epl(chain67, monkeypatch):
         chunks.clear()
         shared = batch_external_path_lengths(chain67, sizes, seeds, shared=True)
         assert alone.tolist() == shared.tolist()
-        assert alone_chunks > len(chunks) > 1
+        if (sizes == sizes[0]).all():
+            assert alone_chunks > len(chunks) > 1
 
 
 def test_batch_kernel_draws_once_per_live_string_and_level(chain67, monkeypatch):
@@ -258,9 +280,9 @@ def test_batch_kernel_memory_stays_cache_sized():
 
 
 def test_batch_kernel_memory_on_ragged_sizes():
-    # one large replicate among many pairs: a chunk holds replicates x the
-    # largest size, so the large one runs alone and no dense grid of
-    # 2769 x 60000 sub-seeds is ever built
+    # one large replicate among many pairs: a chunk holds replicates of one
+    # size, so the large one runs alone and no dense grid of 2769 x 60000
+    # sub-seeds is ever built
     chain = MarkovChain(0.5, 0.6, 0.7)
     sizes = np.array([60000] + [2] * 2768)
     seeds = replicate_seed(13, np.arange(sizes.size))
