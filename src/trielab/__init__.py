@@ -2,7 +2,6 @@
 
 from trielab.clt_harness import (
     apply_T,
-    fit_variance_growth,
     ks_distance,
     law_ks,
     simulate_epl,
@@ -38,7 +37,6 @@ __all__ = [
     "sigma_squared",
     "spectral_constants",
     "apply_T",
-    "fit_variance_growth",
     "ks_distance",
     "law_ks",
     "simulate_epl",

@@ -31,7 +31,7 @@ from trielab.clt_harness import (
     BadScale,
     apply_T,
     check_threads,
-    fit_variance_growth,
+    fit_growth_values,
     ks_distance,
     law_ks,
     simulate_epl,
@@ -56,6 +56,7 @@ from trielab.poisson_analysis import (
     check_mean_decomposition,
     check_rate,
     check_variance_decomposition,
+    summation_window,
 )
 from trielab.spectral import lambda_derivatives, lambda_of_s, sigma_squared, spectral_constants
 from trielab.trie import DepthExceeded, build_trie
@@ -210,6 +211,9 @@ def _cmd_poisson_check(args) -> int:
         return EXIT_USAGE
     for lam in lams:
         check_rate(lam)
+    # refuse a rate the table cannot hold before building it; the builder refuses n_max < 0
+    for lam in lams if args.n_max >= 0 else ():
+        summation_window(lam, args.n_max)
     rows, worst = _residual_rows(_table(chain, args.n_max), lams)
     lines = [f"lambda={r['lambda']:g} i={r['i']}: "
              f"mean residual {r['eq10_residual']:.3e}, "
@@ -358,7 +362,8 @@ def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int
     # 4. variance growth fit, which needs the variance constant
     rel, detail = None, "SymmetricChain: variance constant undefined for symmetric chains"
     if sig2 is not None:
-        a, _ = fit_variance_growth(table, _VARIANCE_GRID)
+        a, _ = fit_growth_values(_VARIANCE_GRID,
+                                 [root_split(chain, table, n)[1] for n in _VARIANCE_GRID])
         rel = abs(a - sig2) / sig2
         detail = f"slope {a:.4f} vs sigma2 {sig2:.4f}, rel {rel:.3f}"
     yield "variance_fit", rel, 0.15, detail

@@ -27,7 +27,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from trielab.exact_moments import MomentTable, root_split
 from trielab.markov_source import MarkovChain, replicate_seed
 from trielab.trie import DepthExceeded, batch_external_path_lengths
 
@@ -113,26 +112,18 @@ def simulate_epl(chain: MarkovChain, n: int, m: int, seed: int, threads: int = 0
     seeds = replicate_seed(seed, np.arange(m))
     sizes = np.full(m, n, dtype=np.int64)
     threads = max(1, min(threads or 8, os.cpu_count() or 1, m))
-    raw = np.empty(m, dtype=np.int64)
-    ranges = [
-        (start, min(start + math.ceil(m / threads), m))
-        for start in range(0, m, math.ceil(m / threads))
-    ]
+    step = math.ceil(m / threads)
 
-    def run_block(block):
-        start, stop = block
+    def run_block(start):
         try:
-            raw[start:stop] = batch_external_path_lengths(
-                chain, sizes[start:stop], seeds[start:stop], shared=threads > 1
-            )
+            return batch_external_path_lengths(chain, sizes[start:start + step],
+                                               seeds[start:start + step], shared=threads > 1)
         except DepthExceeded as err:
-            raise DepthExceeded(
-                err.indices, err.depth, replicate=start + (err.replicate or 0)
-            ) from None
+            raise DepthExceeded(err.indices, err.depth, replicate=start + err.replicate) from None
 
+    # map re-raises the first failing block in block order
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for job in [pool.submit(run_block, b) for b in ranges]:
-            job.result()
+        raw = np.concatenate(list(pool.map(run_block, range(0, m, step))))
     shift = n if n >= 2 else 0
     return (raw - shift).astype(np.float64)
 
@@ -281,11 +272,3 @@ def fit_growth_values(ns, values) -> tuple[float, float]:
         raise SingularFit("design matrix is rank deficient")
     return float(coef[0]), float(coef[1])
 
-
-def fit_variance_growth(table: MomentTable, grid) -> tuple[float, float]:
-    """Growth fit (a, b) of the oracle variance for the table's chain over `grid`."""
-    grid = [int(n) for n in grid]
-    if any(n < 2 or n > table.N for n in grid):
-        raise ValueError(f"grid must lie within [2, {table.N}]")
-    values = [root_split(table.chain, table, n)[1] for n in grid]
-    return fit_growth_values(grid, values)

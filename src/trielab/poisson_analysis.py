@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trielab.exact_moments import MomentTable, mixture, pmf_from_mode
+from trielab.exact_moments import MAX_HORIZON, MomentTable, mixture, pmf_from_mode
 
 
 class HorizonTooSmall(ValueError):
@@ -46,14 +46,15 @@ def check_rate(lam: float) -> None:
         raise ValueError(f"Poisson rate must be finite and > 0, got {lam}")
 
 
-def _window(lam: float, N: int) -> tuple[int, int]:
+def summation_window(lam: float, N: int) -> tuple[int, int]:
     """Summation window (lo, hi) of Poisson(lam); the slope reads the table
     one slot past hi, so the horizon N must reach hi + 1."""
     check_rate(lam)
     spread = 12.0 * math.sqrt(lam) + 12.0
     hi = math.ceil(lam + spread)
     if hi + 1 > N:
-        raise HorizonTooSmall(f"lambda={lam} needs table horizon >= {hi + 1}, have {N}")
+        need = f">= {hi + 1}" if hi + 1 <= MAX_HORIZON else f"above the cap of {MAX_HORIZON}"
+        raise HorizonTooSmall(f"lambda={lam} needs table horizon {need}, have {N}")
     return max(0, math.floor(lam - spread)), hi
 
 
@@ -73,12 +74,19 @@ def poissonized(table: MomentTable, i: int, lam: float) -> PoissonizedValue:
     """Poisson(lam) mixtures of state i from one window: the mean m, its
     derivative m' = E[nu_i(N + 1)] - E[nu_i(N)], the variance E[var | N] +
     Var(nu_i(N))."""
-    lo, hi = _window(lam, table.N)
+    lo, hi = summation_window(lam, table.N)
     w = _weights(lam, lo, hi)
     nu, var = table.nu[i], table.var[i]
     mean, variance = mixture(w, nu[lo : hi + 1], var[lo : hi + 1])
     slope = float(np.dot(w, nu[lo + 1 : hi + 2])) - mean
     return PoissonizedValue(lam, mean, slope, variance, (lo, hi))
+
+
+def _split(table: MomentTable, i: int, lam: float) -> list[PoissonizedValue]:
+    """State i's mixtures at rate lam, then its two subtrees' at lam p_i0 and lam p_i1."""
+    p_i0 = table.chain.p00 if i == 0 else table.chain.p10
+    return [poissonized(table, i, lam), poissonized(table, 0, lam * p_i0),
+            poissonized(table, 1, lam * (1.0 - p_i0))]
 
 
 def check_mean_decomposition(table: MomentTable, i: int, lam: float) -> float:
@@ -87,16 +95,9 @@ def check_mean_decomposition(table: MomentTable, i: int, lam: float) -> float:
     m_i(lam) = m_0(lam p_i0) + m_1(lam p_i1) + lam (1 - e^-lam) holds exactly;
     the returned |lhs - rhs| / max(1, lhs) is truncation noise only.
     """
-    chain = table.chain
-    p_i0 = chain.p00 if i == 0 else chain.p10
-    p_i1 = 1.0 - p_i0
-    lhs = poissonized(table, i, lam).mean
-    rhs = (
-        poissonized(table, 0, lam * p_i0).mean
-        + poissonized(table, 1, lam * p_i1).mean
-        + lam * (1.0 - math.exp(-lam))
-    )
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+    whole, a, b = _split(table, i, lam)
+    rhs = a.mean + b.mean + lam * (1.0 - math.exp(-lam))
+    return abs(whole.mean - rhs) / max(1.0, abs(whole.mean))
 
 
 def check_variance_decomposition(table: MomentTable, i: int, lam: float) -> float:
@@ -107,17 +108,12 @@ def check_variance_decomposition(table: MomentTable, i: int, lam: float) -> floa
     (the e^-lam terms matter only for small lam but are part of the exact
     identity).  Returns |direct - split| / max(1, direct).
     """
-    chain = table.chain
-    p_i0 = chain.p00 if i == 0 else chain.p10
-    p_i1 = 1.0 - p_i0
-    direct = poissonized(table, i, lam).variance
-    lam0, lam1 = lam * p_i0, lam * p_i1
-    a, b = poissonized(table, 0, lam0), poissonized(table, 1, lam1)
+    whole, a, b = _split(table, i, lam)
     split = (
         a.variance + b.variance
-        + 2.0 * lam0 * a.slope + 2.0 * lam1 * b.slope
+        + 2.0 * a.lam * a.slope + 2.0 * b.lam * b.slope
         + 2.0 * lam * math.exp(-lam) * (a.mean + b.mean)
         + lam * (1.0 - math.exp(-lam))
         + lam * lam * math.exp(-lam) * (2.0 - math.exp(-lam))
     )
-    return abs(direct - split) / max(1.0, abs(direct))
+    return abs(whole.variance - split) / max(1.0, abs(whole.variance))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from trielab.markov_source import replicate_seed, stream_seeds, uniforms_at
-from trielab.poisson_analysis import _weights, _window
+from trielab.poisson_analysis import _weights, summation_window
 from trielab.trie import batch_external_path_lengths
 
 _POISSON_SIZE_SALT = 200  # stream of the per-replicate Poisson sizes
@@ -22,13 +22,13 @@ def poisson_sizes(lam: float, m: int, seed: int) -> np.ndarray:
     """m counter-seeded Poisson(lam) draws, by inverting the CDF at salted uniforms.
 
     The CDF is the running sum of the exact pmf up to the top of the
-    summation window `poisson_analysis._window`, past which the mass is far
-    below one uniform's resolution.  A rate that is negative or not finite
+    summation window (`poisson_analysis.summation_window`), past which the
+    mass is far below one uniform's resolution.  A rate that is negative or not finite
     raises ValueError.
     """
     if lam == 0.0:
         return np.zeros(m, dtype=np.intp)
-    top = _window(lam, math.inf)[1]
+    top = summation_window(lam, math.inf)[1]
     u = uniforms_at(stream_seeds(seed, _POISSON_SIZE_SALT), np.arange(m)) * 2.0**-53
     return np.searchsorted(np.cumsum(_weights(lam, 0, top)), u, side="right")
 

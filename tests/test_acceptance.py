@@ -19,7 +19,7 @@ import pytest
 from scipy import stats
 
 from trielab.clt_harness import (
-    fit_variance_growth,
+    fit_growth_values,
     ks_distance,
     simulate_epl,
     standardize,
@@ -205,7 +205,8 @@ def test_criterion_07_variance_slope(three_tables):
     ok = True
     for chain, table in three_tables:
         sig2 = sigma_squared(chain)[1]
-        a, _ = fit_variance_growth(table, [2**k for k in range(8, 14)])
+        grid = [2**k for k in range(8, 14)]
+        a, _ = fit_growth_values(grid, [root_split(chain, table, n)[1] for n in grid])
         rel = abs(a - sig2) / sig2
         ok = ok and rel <= 0.15
         details.append(f"({chain.p00:g},{chain.p11:g}): slope {a:.4f} "

@@ -14,7 +14,7 @@ import pytest
 import trielab
 import trielab.cli
 from trielab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main, schema_for
-from trielab.exact_moments import compute_moment_table, root_split
+from trielab.exact_moments import MAX_HORIZON, compute_moment_table, root_split
 from trielab.markov_source import MarkovChain
 from trielab.spectral import sigma_squared, spectral_constants
 
@@ -245,6 +245,29 @@ def test_poisson_check_rejects_bad_rates(capsys, monkeypatch):
         assert code == EXIT_USAGE
         assert out == ""
         assert "finite and > 0" in err
+
+
+def test_poisson_check_refuses_a_rate_the_table_cannot_hold_before_building_it(
+        capsys, monkeypatch):
+    # a negative horizon still reaches the builder, which calls it a usage error
+    code, _, err = run(capsys, "poisson-check", *CHAIN, "--n-max", "-1")
+    assert (code, err) == (EXIT_USAGE, "invalid request: horizon must be >= 0\n")
+
+    def no_table(*args):
+        raise AssertionError("moment table built for a rate it cannot hold")
+
+    monkeypatch.setattr(trielab.cli, "compute_moment_table", no_table)
+    code, out, err = run(capsys, "poisson-check", *CHAIN, "--lambdas", "4000", "--n-max", "64")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == "numeric error: lambda=4000.0 needs table horizon >= 4772, have 64\n"
+    # a need above the cap is named by the cap, not by a horizon no table can
+    # reach (for 1e300 that was a 301-digit integer)
+    for lambdas in ("40000", "10,1e300"):
+        code, out, err = run(capsys, "poisson-check", *CHAIN, "--lambdas", lambdas,
+                             "--n-max", "32768")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert f"needs table horizon above the cap of {MAX_HORIZON}, have 32768" in err
+        assert len(err) < 100
 
 
 def test_table_built_once_and_served_as_read_only_prefix(capsys, builds, chain67, table67):

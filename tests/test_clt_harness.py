@@ -12,7 +12,6 @@ from trielab.clt_harness import (
     EmptyCloud,
     SingularFit,
     fit_growth_values,
-    fit_variance_growth,
     ks_distance,
     simulate_epl,
     standardize,
@@ -269,12 +268,9 @@ def test_fit_growth_recovers_synthetic():
 
 def test_fit_variance_growth_matches_spectral_constant(chain67, table67):
     sig2 = sigma_squared(chain67)[1]
-    a, _ = fit_variance_growth(table67, [2**k for k in range(8, 14)])
+    grid = [2**k for k in range(8, 14)]
+    a, _ = fit_growth_values(grid, [root_split(chain67, table67, n)[1] for n in grid])
     assert abs(a - sig2) <= 0.15 * sig2
-    with pytest.raises(ValueError):
-        fit_variance_growth(table67, [1, 256, 512, 1024])
-    with pytest.raises(ValueError):
-        fit_variance_growth(table67, [256, 512, 1024, table67.N + 1])
 
 
 def test_moment_estimates_match_scipy():
@@ -342,7 +338,7 @@ def test_asymptotic_scale_cloud_is_normal(big_run, scale_gap67):
     assert scale_gap67["spread"] <= 0.02
 
 
-def test_scale_choice_insensitivity(big_run, table67, scale_gap67):
+def test_scale_choice_insensitivity(big_run, chain67, table67, scale_gap67):
     # Swapping the oracle scale for the asymptotic one is not neutral at
     # n = 2048: it stretches the cloud by sqrt(r_n).  The test checks that
     # effect against the two-term law Var(n) ~ sigma^2 n ln n + b n, with b
@@ -353,7 +349,8 @@ def test_scale_choice_insensitivity(big_run, table67, scale_gap67):
     # sup_x |Phi(x) - Phi(x / sqrt(r_n))| at x^2 = r ln r / (r - 1), must
     # match the measured move within 0.04 (0.118 against 0.098).
     n = 2048
-    _, b = fit_variance_growth(table67, [2**k for k in (8, 9, 10, 12, 13)])
+    grid = [2**k for k in (8, 9, 10, 12, 13)]
+    _, b = fit_growth_values(grid, [root_split(chain67, table67, k)[1] for k in grid])
     r = 1.0 + b / (scale_gap67["sigma2"] * math.log(n))
     assert abs(r / scale_gap67["ratio"][n] - 1.0) <= 0.005
     x = math.sqrt(r * math.log(r) / (r - 1.0))

@@ -98,3 +98,51 @@ def unpassed_defaults(package: Path) -> list[str]:
 def test_every_default_is_passed_somewhere():
     # a parameter only one value in the package ever sets is a constant
     assert unpassed_defaults(Path(trielab.__file__).parent) == []
+
+
+# the trielab modules each module may import from.  The exact DP
+# (exact_moments, poisson_analysis), the spectral constants and the Monte
+# Carlo route (trie, clt_harness) share only the chain, so their agreement
+# is evidence; only cli composes them, and __init__ re-exports
+ROUTE_IMPORTS = {
+    "markov_source": set(),
+    "trie": {"markov_source"},
+    "clt_harness": {"markov_source", "trie"},
+    "exact_moments": {"markov_source"},
+    "poisson_analysis": {"exact_moments"},
+    "spectral": {"markov_source"},
+}
+COMPOSERS = {"cli", "__init__", "__main__"}
+# the string generator, which no exact route may reach
+GENERATOR_NAMES = {"stream_seeds", "replicate_seed", "uniforms_at", "bit_thresholds",
+                   "BitStream", "generate_strings"}
+
+
+def trielab_imports(path: Path) -> dict[str, set[str]]:
+    """{source: imported names} of each import from the package in one file,
+    the source being the module after `trielab.` (`trielab` for the package,
+    "" for a relative import of the package itself)."""
+    sources = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = ("trielab." if node.level else "") + (node.module or "")
+            modules = [(module, {alias.name for alias in node.names})]
+        elif isinstance(node, ast.Import):
+            modules = [(alias.name, set()) for alias in node.names]
+        else:
+            continue
+        for module, names in modules:
+            if module == "trielab" or module.startswith("trielab."):
+                sources.setdefault(module.removeprefix("trielab."), set()).update(names)
+    return sources
+
+
+def test_routes_share_only_the_chain():
+    package = Path(trielab.__file__).parent
+    imports = {path.stem: trielab_imports(path) for path in package.glob("*.py")}
+    assert set(imports) - COMPOSERS == set(ROUTE_IMPORTS)
+    for module, allowed in ROUTE_IMPORTS.items():
+        assert set(imports[module]) <= allowed, module
+    for module in ("exact_moments", "poisson_analysis", "spectral"):
+        names = set().union(*imports[module].values())
+        assert not names & GENERATOR_NAMES, module

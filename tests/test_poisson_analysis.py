@@ -11,10 +11,10 @@ from trielab.markov_source import MarkovChain
 from trielab.poisson_analysis import (
     HorizonTooSmall,
     _weights,
-    _window,
     check_mean_decomposition,
     check_variance_decomposition,
     poissonized,
+    summation_window,
 )
 from trielab.spectral import sigma_squared
 
@@ -51,14 +51,14 @@ def truncation_bounds(table, i: int, lam: float) -> tuple[float, float]:
     """Certified bounds (mean_bound, variance_bound) on what the summation
     window of `poissonized(table, i, lam)` leaves out of m and of v; the
     variance one bounds the left-out second moment E[var + nu^2 | N]."""
-    lo, hi = _window(lam, table.N)
+    lo, hi = summation_window(lam, table.N)
     nu, var = table.nu[i], table.var[i]
     return _tail_bound(lam, lo, hi, nu), _tail_bound(lam, lo, hi, var + nu**2)
 
 
 def test_weights_match_scipy_pmf():
     for lam in (7.0, 100.0, 200.0, 1e4, 3e4):
-        lo, hi = _window(lam, 10**5)
+        lo, hi = summation_window(lam, 10**5)
         w = _weights(lam, lo, hi)
         if lam <= 200.0:
             # elementwise only here: at 3e4 scipy's own pmf drifts up to
@@ -106,6 +106,9 @@ def test_horizon_too_small(chain67):
     with pytest.raises(HorizonTooSmall, match="needs table horizon >= 98, have 97"):
         poissonized(compute_moment_table(chain67, 97), 0, 25.0)
     assert poissonized(compute_moment_table(chain67, 98), 0, 25.0).window == (0, 97)
+    # a need above the table cap is named by the cap: no table can meet it
+    with pytest.raises(HorizonTooSmall, match="above the cap of 32768, have 32768$"):
+        summation_window(4e4, 32768)
 
 
 def test_mean_derivative(table67):

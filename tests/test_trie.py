@@ -179,7 +179,7 @@ def test_batch_kernel_chunking_at_default_size():
 _RAGGED = [1500, 900, 600, 37, 2, 1, 0, 300, 2, 5, 0, 64, 3, 200, 1] + [16] * 64 + [1, 0, 2]
 
 
-def test_batch_kernel_reuses_rows_across_narrowing_chunks(chain67, monkeypatch):
+def test_batch_kernel_reuses_rows_across_chunks_of_different_widths(chain67, monkeypatch):
     monkeypatch.setattr(trielab.trie, "_CHUNK_ELEMENTS", 1024)
     sizes = np.array(_RAGGED)
     seeds = replicate_seed(21, np.arange(sizes.size))
