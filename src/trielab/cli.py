@@ -3,8 +3,9 @@
 Subcommands: analyze, oracle, poisson-check, simulate, contraction,
 trie-stats, verify.  All numerics live in the library modules; this layer
 only parses flags, dispatches, and formats output, so tests can bypass it.
-It also keeps the last moment table it built, so one process builds a
-table once per chain and serves shorter horizons as read-only prefix views.
+Each subcommand that reads the moment table builds it to the horizon it
+reads and keeps nothing between calls: oracle to --n-max, simulate to n,
+verify to its largest size, poisson-check to its top window + 1.
 
 Every artifact embeds a run manifest: JSON reports carry it under
 "manifest", CSV files as a leading "# manifest:" comment.  The manifest
@@ -41,6 +42,7 @@ from trielab.clt_harness import (
 from trielab.exact_moments import (
     HorizonTooLarge,
     MomentTable,
+    check_horizon,
     compute_moment_table,
     error_terms,
     root_split,
@@ -73,33 +75,6 @@ def _now() -> str:
 
 def _chain_of(args) -> MarkovChain:
     return MarkovChain(args.mu0, args.p00, args.p11)
-
-
-# the last moment table built in this process, its arrays read-only
-_cached_table: MomentTable | None = None
-
-
-def _table(chain: MarkovChain, N: int) -> MomentTable:
-    """Moment table of `chain` up to N, built at most once per chain and process.
-
-    A request for the cached chain (mu0 included) at a horizon the cached
-    table covers is served from it: the table itself at its own N, else a
-    view of its first N + 1 columns whose `.N` is the request.  Each level of
-    the sweep depends only on the levels below it, so the view equals a fresh
-    build bit for bit.  Anything else, a negative N included, goes to the
-    module-level name `compute_moment_table`, so a probe on that name sees
-    every build, and a successful build replaces the cached table.
-    """
-    global _cached_table
-    table = _cached_table
-    if table is None or table.chain != chain or not 0 <= N <= table.N:
-        table = compute_moment_table(chain, N)
-        table.nu.flags.writeable = False
-        table.var.flags.writeable = False
-        _cached_table = table
-    if table.N == N:
-        return table
-    return MomentTable(chain, N, table.nu[:, : N + 1], table.var[:, : N + 1])
 
 
 def _write_csv(path: str, manifest: dict, header, rows) -> None:
@@ -175,7 +150,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_oracle(args) -> int:
     chain = _chain_of(args)
-    table = _table(chain, args.n_max)
+    table = compute_moment_table(chain, args.n_max)
     f = error_terms(table)
     columns = {"nu0": table.nu[0], "nu1": table.nu[1], "var0": table.var[0],
                "var1": table.var[1], "f0": f[0], "f1": f[1]}
@@ -211,10 +186,15 @@ def _cmd_poisson_check(args) -> int:
         return EXIT_USAGE
     for lam in lams:
         check_rate(lam)
-    # refuse a rate the table cannot hold before building it; the builder refuses n_max < 0
-    for lam in lams if args.n_max >= 0 else ():
-        summation_window(lam, args.n_max)
-    rows, worst = _residual_rows(_table(chain, args.n_max), lams)
+    # refuse a window beyond --n-max, then --n-max itself, before building the
+    # table (a negative --n-max skips the windows, which would all refuse it)
+    tops = [summation_window(lam, args.n_max)[1] for lam in lams if args.n_max >= 0]
+    check_horizon(args.n_max)
+    # the table ends one slot past the top window, where the slope reads (a
+    # split rate lies below its rate, so its window lies inside); each level of
+    # the sweep reads only the levels below it, so the rows are those of a
+    # table to --n-max
+    rows, worst = _residual_rows(compute_moment_table(chain, max(tops) + 1), lams)
     lines = [f"lambda={r['lambda']:g} i={r['i']}: "
              f"mean residual {r['eq10_residual']:.3e}, "
              f"variance residual {r['lemma4_residual']:.3e}" for r in rows]
@@ -234,7 +214,7 @@ def _cmd_simulate(args) -> int:
     check_threads(args.threads)
     # sigma^2 refuses a symmetric chain, so take it before the table is built
     sig2 = sigma_squared(chain)[1] if args.standardize == "asymptotic" else None
-    center, variance = root_split(chain, _table(chain, max(16, args.n)), args.n)
+    center, variance = root_split(chain, compute_moment_table(chain, args.n), args.n)
     scale = math.sqrt(variance if sig2 is None else sig2 * args.n * math.log(args.n))
     cloud = simulate_epl(chain, args.n, args.m, args.seed, threads=args.threads)
     std = standardize(cloud, center, scale)
@@ -319,7 +299,7 @@ def _cmd_trie_stats(args) -> int:
 
 # sizes of verify's variance-growth fit; the top one is the largest size any
 # verify item reads, so it is also the horizon of verify's table
-_VARIANCE_GRID = [2**k for k in range(8, 14)]
+_VARIANCE_GRID = tuple(2**k for k in range(8, 14))
 
 
 def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int,
@@ -386,7 +366,7 @@ def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int
 def _cmd_verify(args) -> int:
     chain = _chain_of(args)
     check_threads(args.threads)
-    table = _table(chain, _VARIANCE_GRID[-1])
+    table = compute_moment_table(chain, _VARIANCE_GRID[-1])
     items = []
     for name, value, limit, detail in _verify_items(
             chain, table, args.budget == "quick", args.seed, args.threads):

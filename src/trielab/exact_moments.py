@@ -135,12 +135,17 @@ def _solve(a01: float, a10: float, s0: float, s1: float,
     return (c1 * rhs0 + a01 * rhs1) / det, (a10 * rhs0 + c0 * rhs1) / det
 
 
-def compute_moment_table(chain: MarkovChain, N: int) -> MomentTable:
-    """Fill nu_i[n], var_i[n] for n = 0..N by one sweep of 2x2 level solves."""
+def check_horizon(N: int) -> None:
+    """Raise ValueError unless 0 <= N, and HorizonTooLarge if N exceeds MAX_HORIZON."""
     if N < 0:
         raise ValueError("horizon must be >= 0")
     if N > MAX_HORIZON:
         raise HorizonTooLarge(f"horizon {N} exceeds cap {MAX_HORIZON}")
+
+
+def compute_moment_table(chain: MarkovChain, N: int) -> MomentTable:
+    """Fill nu_i[n], var_i[n] for n = 0..N by one sweep of 2x2 level solves."""
+    check_horizon(N)
     nu = np.zeros((2, N + 1))
     var = np.zeros((2, N + 1))
     nu0, nu1 = nu[0], nu[1]

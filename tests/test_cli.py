@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -8,7 +7,6 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 
 import trielab
@@ -22,16 +20,6 @@ CHAIN = ["--p00", "0.6", "--p11", "0.7"]
 SUBCOMMANDS = ("analyze", "oracle", "poisson-check", "simulate",
                "contraction", "trie-stats", "verify")
 ENVELOPE = ["manifest", "generated", "chain"]
-
-
-@pytest.fixture(autouse=True)
-def empty_table_cache():
-    """Every test starts and ends with no moment table cached in the CLI, so
-    results do not depend on test order and a test that patches the builder
-    cannot be served a table left by an earlier test."""
-    trielab.cli._cached_table = None
-    yield
-    trielab.cli._cached_table = None
 
 
 @pytest.fixture
@@ -151,7 +139,6 @@ def test_simulate_asymptotic_scale_refuses_before_the_table(capsys, monkeypatch)
         raise AssertionError("moment table built for a symmetric chain")
 
     monkeypatch.setattr(trielab.cli, "compute_moment_table", no_table)
-    monkeypatch.setattr(trielab.cli, "_cached_table", None)
     code, out, err = run(capsys, "simulate", "--p00", "0.5", "--p11", "0.5",
                          "--n", "32768", "--m", "2", "--standardize", "asymptotic")
     assert code == EXIT_USAGE
@@ -249,79 +236,49 @@ def test_poisson_check_rejects_bad_rates(capsys, monkeypatch):
 
 def test_poisson_check_refuses_a_rate_the_table_cannot_hold_before_building_it(
         capsys, monkeypatch):
-    # a negative horizon still reaches the builder, which calls it a usage error
-    code, _, err = run(capsys, "poisson-check", *CHAIN, "--n-max", "-1")
-    assert (code, err) == (EXIT_USAGE, "invalid request: horizon must be >= 0\n")
-
     def no_table(*args):
         raise AssertionError("moment table built for a rate it cannot hold")
 
     monkeypatch.setattr(trielab.cli, "compute_moment_table", no_table)
+    # --n-max itself is checked after the windows: below 0 a usage error,
+    # above the cap a numeric one (a window beyond it is refused first, below)
+    code, _, err = run(capsys, "poisson-check", *CHAIN, "--n-max", "-1")
+    assert (code, err) == (EXIT_USAGE, "invalid request: horizon must be >= 0\n")
+    code, out, err = run(capsys, "poisson-check", *CHAIN, "--n-max", "40000")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == f"numeric error: horizon 40000 exceeds cap {MAX_HORIZON}\n"
     code, out, err = run(capsys, "poisson-check", *CHAIN, "--lambdas", "4000", "--n-max", "64")
     assert (code, out) == (EXIT_NUMERIC, "")
     assert err == "numeric error: lambda=4000.0 needs table horizon >= 4772, have 64\n"
     # a need above the cap is named by the cap, not by a horizon no table can
     # reach (for 1e300 that was a 301-digit integer)
-    for lambdas in ("40000", "10,1e300"):
+    for lambdas, n_max in (("40000", "32768"), ("10,1e300", "32768"), ("40000", "40000")):
         code, out, err = run(capsys, "poisson-check", *CHAIN, "--lambdas", lambdas,
-                             "--n-max", "32768")
+                             "--n-max", n_max)
         assert (code, out) == (EXIT_NUMERIC, "")
-        assert f"needs table horizon above the cap of {MAX_HORIZON}, have 32768" in err
+        assert f"needs table horizon above the cap of {MAX_HORIZON}, have {n_max}" in err
         assert len(err) < 100
 
 
-def test_table_built_once_and_served_as_read_only_prefix(capsys, builds, chain67, table67):
-    big = ("oracle", *CHAIN, "--n-max", "32768")
-    assert run(capsys, *big)[0] == EXIT_OK
-    assert builds == [(chain67, 32768)]
-    # every other table site is served from the cached 32768 table
-    for argv in (("poisson-check", *CHAIN, "--n-max", "8192"),
-                 ("simulate", *CHAIN, "--n", "64", "--m", "50", "--threads", "1"),
-                 ("verify", *CHAIN, "--budget", "quick", "--threads", "1"), big):
+def test_each_subcommand_builds_the_horizon_it_reads(capsys, builds, chain67, table67):
+    for argv in (("oracle", *CHAIN, "--n-max", "64"),
+                 ("simulate", *CHAIN, "--n", "8", "--m", "50", "--threads", "1"),
+                 ("verify", *CHAIN, "--budget", "quick", "--threads", "1")):
         assert run(capsys, *argv)[0] == EXIT_OK, argv
-    assert len(builds) == 1
-
-    prefix = trielab.cli._table(chain67, 8192)
-    assert prefix.N == 8192
-    assert np.array_equal(prefix.nu, table67.nu)
-    assert np.array_equal(prefix.var, table67.var)
-    for arr in (prefix.nu, prefix.var, trielab.cli._table(chain67, 32768).nu):
-        with pytest.raises(ValueError):
-            arr[0, 5] = 1.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        prefix.N = 32768
-    # the served horizon, not the cached one, bounds the Poisson window
-    code, _, err = run(capsys, "poisson-check", *CHAIN, "--n-max", "100",
-                       "--lambdas", "1000")
-    assert code == EXIT_NUMERIC
-    assert "have 100" in err
-    assert len(builds) == 1
-    # the builder itself still hands out writeable arrays
-    fresh = compute_moment_table(chain67, 16)
-    assert fresh.nu.flags.writeable and fresh.var.flags.writeable
-
-
-def test_table_rebuilt_for_other_chain_or_longer_horizon(capsys, builds):
-    requests = [
-        ((), "64"),
-        ((), "32"),  # prefix of the cached table
-        (("--mu0", "0.3"), "32"),  # mu0 enters table.chain, so it is a new chain
-        (("--mu0", "0.3"), "64"),
-        (("--mu0", "0.3", "--p11", "0.71"), "64"),
-        (("--mu0", "0.3", "--p11", "0.71"), "128"),  # longer than the cached table
-        (("--mu0", "0.3", "--p11", "0.71"), "64"),
-    ]
-    for extra, n_max in requests:
-        code, _, _ = run(capsys, "oracle", *CHAIN, *extra, "--n-max", n_max)
-        assert code == EXIT_OK
-    assert builds == [(MarkovChain(0.5, 0.6, 0.7), 64), (MarkovChain(0.3, 0.6, 0.7), 32),
-                      (MarkovChain(0.3, 0.6, 0.7), 64), (MarkovChain(0.3, 0.6, 0.71), 64),
-                      (MarkovChain(0.3, 0.6, 0.71), 128)]
-    # a negative horizon still reaches the builder, which rejects it
-    code, _, err = run(capsys, "oracle", *CHAIN, "--mu0", "0.3", "--p11", "0.71",
-                       "--n-max", "-1")
-    assert code == EXIT_USAGE
-    assert "horizon must be >= 0" in err
+    assert builds == [(chain67, 64), (chain67, 8), (chain67, 8192)]
+    # poisson-check's top window at its default rates ends at 1392 (lambda =
+    # 1000) and the slope reads one slot past it; --n-max only bounds the
+    # windows, so the rows equal those read from a table to --n-max
+    builds.clear()
+    code, report, _ = run_json(capsys, "poisson-check", *CHAIN)
+    assert code == EXIT_OK
+    assert builds == [(chain67, 1393)]
+    rows, worst = trielab.cli._residual_rows(table67, [10.0, 50.0, 200.0, 1000.0])
+    assert report["rows"] == rows
+    assert report["worst_residual"] == worst
+    # a negative horizon reaches the builder, which refuses it
+    code, _, err = run(capsys, "oracle", *CHAIN, "--n-max", "-1")
+    assert (code, err) == (EXIT_USAGE, "invalid request: horizon must be >= 0\n")
 
 
 def test_simulate_json_and_samples(tmp_path, capsys):
