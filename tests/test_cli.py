@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import trielab
@@ -260,7 +262,8 @@ def test_poisson_check_refuses_a_rate_the_table_cannot_hold_before_building_it(
         assert len(err) < 100
 
 
-def test_each_subcommand_builds_the_horizon_it_reads(capsys, builds, chain67, table67):
+def test_table_built_once_and_served_as_read_only_prefix(capsys, builds, chain67, table67):
+    # each subcommand builds one table, at the horizon it reads
     for argv in (("oracle", *CHAIN, "--n-max", "64"),
                  ("simulate", *CHAIN, "--n", "8", "--m", "50", "--threads", "1"),
                  ("verify", *CHAIN, "--budget", "quick", "--threads", "1")):
@@ -268,7 +271,7 @@ def test_each_subcommand_builds_the_horizon_it_reads(capsys, builds, chain67, ta
     assert builds == [(chain67, 64), (chain67, 8), (chain67, 8192)]
     # poisson-check's top window at its default rates ends at 1392 (lambda =
     # 1000) and the slope reads one slot past it; --n-max only bounds the
-    # windows, so the rows equal those read from a table to --n-max
+    # windows, so the rows equal those read from the prefix of a table to --n-max
     builds.clear()
     code, report, _ = run_json(capsys, "poisson-check", *CHAIN)
     assert code == EXIT_OK
@@ -276,6 +279,37 @@ def test_each_subcommand_builds_the_horizon_it_reads(capsys, builds, chain67, ta
     rows, worst = trielab.cli._residual_rows(table67, [10.0, 50.0, 200.0, 1000.0])
     assert report["rows"] == rows
     assert report["worst_residual"] == worst
+    small = compute_moment_table(chain67, 1393)
+    assert np.array_equal(small.nu, table67.nu[:, :1394])
+    assert np.array_equal(small.var, table67.var[:, :1394])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small.N = 8192
+    # --n-max, not a table, bounds the Poisson window: refused before any build
+    code, _, err = run(capsys, "poisson-check", *CHAIN, "--n-max", "100",
+                       "--lambdas", "1000")
+    assert code == EXIT_NUMERIC
+    assert "have 100" in err
+    assert builds == [(chain67, 1393)]
+
+
+def test_table_rebuilt_for_other_chain_or_longer_horizon(capsys, builds):
+    requests = [
+        ((), "64"),
+        ((), "32"),  # shorter, same chain
+        (("--mu0", "0.3"), "32"),  # mu0 enters table.chain, so it is a new chain
+        (("--mu0", "0.3"), "64"),
+        (("--mu0", "0.3", "--p11", "0.71"), "64"),
+        (("--mu0", "0.3", "--p11", "0.71"), "128"),  # longer horizon
+        (("--mu0", "0.3", "--p11", "0.71"), "64"),
+    ]
+    for extra, n_max in requests:
+        code, _, _ = run(capsys, "oracle", *CHAIN, *extra, "--n-max", n_max)
+        assert code == EXIT_OK
+    # no table outlives its subcommand: every request builds its own
+    assert builds == [(MarkovChain(0.5, 0.6, 0.7), 64), (MarkovChain(0.5, 0.6, 0.7), 32),
+                      (MarkovChain(0.3, 0.6, 0.7), 32), (MarkovChain(0.3, 0.6, 0.7), 64),
+                      (MarkovChain(0.3, 0.6, 0.71), 64), (MarkovChain(0.3, 0.6, 0.71), 128),
+                      (MarkovChain(0.3, 0.6, 0.71), 64)]
     # a negative horizon reaches the builder, which refuses it
     code, _, err = run(capsys, "oracle", *CHAIN, "--n-max", "-1")
     assert (code, err) == (EXIT_USAGE, "invalid request: horizon must be >= 0\n")
