@@ -59,15 +59,6 @@ from trielab.markov_source import (
 # a string-level at n = 2048; 2**18 on two threads was no faster than 2**17
 # and took 14 MB more.
 _CHUNK_ELEMENTS = 1 << 16
-# On a level where strings leave, the survivors past the new end move into
-# the places the leavers held before it, which costs work in proportion to the
-# leavers; a flatnonzero and three takes (sub-seed, key, state) into the spare
-# rows cost work in proportion to the survivors.  At 65,536 strings, 64 against
-# 290 us at 99% survival, 164 against 265 us at 90%, 204 against 248 us at 80%
-# and 258 against 243 us at 70% (2-core Xeon, median of 300, randomly placed
-# leavers); against 0.9, this cut sped the kernel up 1-2.5% at n = 16, 256 and
-# 2048.
-_FILL_SURVIVAL = 0.75
 
 
 class DepthExceeded(RuntimeError):
@@ -202,28 +193,29 @@ def _epl_chunk(
     #
     # The bit rule needs no per-group table: with b0 = k >= t0 and
     # b1 = k >= t1 on the string's 53-bit numerator k, the bit is b0 where
-    # the state is 0 and b1 where it is 1, that is b0 ^ ((b0 ^ b1) & state);
-    # the first bit is k >= t_start.  All compares are on int64 views, with
-    # no float pass.
+    # the state is 0 and b1 where it is 1, that is b0 ^ ((b0 ^ b1) & state),
+    # formed in the state row itself; the first bit is k >= t_start.  All
+    # compares are on int64 views, with no float pass.
     #
-    # Every per-string array lives in the first `live` entries of a row: the
-    # sub-seeds in s_row, the keys (as int64) in k_row, while a_row and b_row
-    # hold the level's numerators and relabel table.  The four uint64 rows swap
-    # these roles instead of being freed and allocated again.  Of the three
-    # bool rows in `flags`, `state` holds the previous bits, `bit` receives the
-    # level's bits and `spare` is scratch; the level's bits become the next
-    # level's states by swapping rows, and compaction moves the states with the
-    # sub-seeds and keys.
+    # Every per-string array lives in the first `live` entries of a row, and
+    # each row keeps its role for the whole call: the uint64 rows hold the
+    # sub-seeds, the keys (as int64), the level's numerators (then its
+    # relabel table) and the mixer's scratch; the bool rows hold the states
+    # and the bits b0 and b1 (b0 then holds the leavers' mask).  On a level
+    # where strings leave, the survivors behind position `survivors` move into
+    # the places the leavers held before it.  Order within the live prefix is
+    # free, since nothing downstream depends on where a string sits, and the
+    # holes are searched for only in that head, not in every live string.
     t0, t1, t_start = (np.int64(t) for t in bit_thresholds(chain))
+    sub_row, key_row, num_row, mix_row = rows
+    state_row, b0_row, b1_row = flags
     # one stream_seeds call on the (replicate, index) grid, so the inner mix
     # of index i is computed once for its whole column
     count = len(rep_seeds)
     grid, live = (count, n), count * n
     stream_seeds(rep_seeds[:, None], np.arange(n),
-                 out=rows[2, :live].reshape(grid), tmp=rows[0, :live].reshape(grid))
-    rows[3, :live].view(np.int64).reshape(grid)[...] = np.arange(0, 2 * count, 2)[:, None]
-    s_row, k_row, a_row, b_row = rows[2], rows[3], rows[0], rows[1]
-    state_row, bit_row, spare_row = flags
+                 out=sub_row[:live].reshape(grid), tmp=mix_row[:live].reshape(grid))
+    key_row[:live].view(np.int64).reshape(grid)[...] = np.arange(0, 2 * count, 2)[:, None]
     grep, gsize = np.arange(count), np.full(count, n)
     # strings of each replicate still in a group; they change only on levels
     # where strings leave (float sums stay exact far beyond any EPL here)
@@ -231,7 +223,7 @@ def _epl_chunk(
     epl = np.zeros(count)
     depth = 0
     while live:
-        sub, key2 = s_row[:live], k_row[:live].view(np.int64)
+        sub, key2 = sub_row[:live], key_row[:live].view(np.int64)
         if depth >= max_depth:
             # name the group build_trie would meet first: groups sit in prefix
             # order and build_trie pops the 1-half first, so it is the
@@ -246,55 +238,41 @@ def _epl_chunk(
         # everyone left shares a group, so everyone consumes one symbol here;
         # the child keys are formed in place
         epl += alive_per_rep
-        k = uniforms_at(sub, depth, out=a_row[:live], tmp=b_row[:live]).view(np.int64)
-        bit = bit_row[:live]
+        k = uniforms_at(sub, depth, out=num_row[:live], tmp=mix_row[:live]).view(np.int64)
+        state = state_row[:live]
         if depth:
-            spare = spare_row[:live]
-            np.greater_equal(k, t0, out=bit)
-            np.greater_equal(k, t1, out=spare)
-            spare ^= bit
-            spare &= state_row[:live]
-            bit ^= spare
+            b0, b1 = b0_row[:live], b1_row[:live]
+            np.greater_equal(k, t0, out=b0)
+            np.greater_equal(k, t1, out=b1)
+            b1 ^= b0
+            state &= b1
+            state ^= b0
         else:
-            np.greater_equal(k, t_start, out=bit)
-        key2 += bit
-        state_row, bit_row = bit_row, state_row
+            np.greater_equal(k, t_start, out=state)
+        key2 += state
         counts = np.bincount(key2, minlength=2 * grep.size)
         alive = np.flatnonzero(counts >= 2)
         if alive.size == counts.size:
             # every child has >= 2 members: child c is group c, so its key is 2c
             key2 <<= 1
         else:
-            lookup = a_row[:counts.size].view(np.int64)
+            lookup = num_row[:counts.size].view(np.int64)
             lookup.fill(-1)
             lookup[alive] = np.arange(0, 2 * alive.size, 2)
-            key2 = lookup.take(key2, out=b_row[:live].view(np.int64), mode="clip")
-            k_row, b_row = b_row, k_row
+            lookup.take(key2, out=key2, mode="clip")
         grep, gsize = grep[alive >> 1], counts[alive]
         # compact only on levels where strings left
         survivors = int(gsize.sum())
         if survivors < live:
             alive_per_rep = np.bincount(grep, weights=gsize, minlength=count)
-            state, mask = state_row[:live], spare_row[:live]
-            if survivors >= _FILL_SURVIVAL * live:
-                # the few survivors behind position `survivors` move into the
-                # places of the strings that left before it; order is free,
-                # since nothing downstream depends on where a string sits
-                gone = np.flatnonzero(np.less(key2, 0, out=mask))
-                holes = gone[:np.searchsorted(gone, survivors)]
-                tail = mask[survivors:]
-                moved = np.flatnonzero(np.logical_not(tail, out=tail))
-                moved += survivors
-                sub[holes] = sub[moved]
-                key2[holes] = key2[moved]
-                state[holes] = state[moved]
-            else:
-                keep = np.flatnonzero(np.greater_equal(key2, 0, out=mask))
-                sub.take(keep, out=a_row[:survivors], mode="clip")
-                key2.take(keep, out=b_row[:survivors].view(np.int64), mode="clip")
-                state.take(keep, out=bit_row[:survivors], mode="clip")
-                s_row, k_row, a_row, b_row = a_row, b_row, s_row, k_row
-                state_row, bit_row = bit_row, state_row
+            mask = np.less(key2, 0, out=b0_row[:live])
+            holes = np.flatnonzero(mask[:survivors])
+            tail = mask[survivors:]
+            moved = np.flatnonzero(np.logical_not(tail, out=tail))
+            moved += survivors
+            sub[holes] = sub[moved]
+            key2[holes] = key2[moved]
+            state[holes] = state[moved]
             live = survivors
         depth += 1
     return epl.astype(np.int64)

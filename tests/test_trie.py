@@ -298,6 +298,26 @@ def test_batch_kernel_memory_on_ragged_sizes():
     assert (ragged == np.concatenate([big, small])).all()
 
 
+def test_take_into_its_own_index_array():
+    # the kernel relabels its keys in place, lookup.take(key2, out=key2,
+    # mode="clip"); numpy does not document an `out` that aliases the
+    # indices, so pin that it gives lookup[idx] and copies nothing that large
+    # (under mode="raise" numpy buffers `out`, a copy the size of idx)
+    rng = np.random.default_rng(3)
+    lookup = rng.integers(-1, 1 << 40, size=4096)
+    idx = rng.integers(0, lookup.size, size=1 << 16)
+    want = lookup[idx]
+    tracemalloc.start()
+    try:
+        got = lookup.take(idx, out=idx, mode="clip")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is idx
+    assert (idx == want).all()
+    assert peak < idx.nbytes // 8
+
+
 def test_batch_kernel_matches_build_on_deep_chain():
     # p11 = 0.99 keeps groups of 1-runs together for hundreds of levels on
     # which no string leaves, so the kernel skips compaction there
