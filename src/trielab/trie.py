@@ -24,6 +24,7 @@ from trielab.markov_source import (
     BitStream,
     MarkovChain,
     bit_thresholds,
+    generate_strings,
     stream_seeds,
     uniforms_at,
 )
@@ -141,12 +142,14 @@ def batch_external_path_lengths(
     Replicate r holds `sizes[r]` streams seeded from `rep_seeds[r]`; stream j
     of that replicate reproduces exactly what
     BitStream(chain, stream_seeds(rep_seeds[r], j)) would emit, so this kernel
-    and `build_trie` are interchangeable routes to the same numbers, with the
-    same depth cap `default_max_depth` of the largest size.  Mixed sizes are
-    grouped by size, each group cut into chunks of one size; a replicate's
-    EPL does not depend on the replicates it shares a chunk with.  `shared`
-    says that other threads run numpy work at the same time; the call then
-    packs chunks twice as large (see _CHUNK_ELEMENTS), with the same results.
+    and `build_trie` are interchangeable routes to the same numbers: replicate
+    r runs to `build_trie`'s cap `default_max_depth(sizes[r])`, and one that
+    reaches it is handed to `build_trie`, whose DepthExceeded is re-raised with
+    the replicate's index in this call.  Mixed sizes are grouped by size, each
+    group cut into chunks of one size; a replicate's EPL does not depend on the
+    replicates it shares a chunk with.  `shared` says that other threads run
+    numpy work at the same time; the call then packs chunks twice as large (see
+    _CHUNK_ELEMENTS), with the same results.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     rep_seeds = np.asarray(rep_seeds, dtype=np.uint64)
@@ -155,7 +158,6 @@ def batch_external_path_lengths(
     if (sizes < 0).any():
         raise ValueError("sizes must be >= 0")
     largest = int(sizes.max(initial=0))
-    max_depth = default_max_depth(largest)
     total = np.zeros(len(sizes), dtype=np.int64)
     chunk = _CHUNK_ELEMENTS * (2 if shared else 1)
     # the rows every level of every chunk works in, as wide as the widest
@@ -169,7 +171,7 @@ def batch_external_path_lengths(
         count = max(1, chunk // n)
         for start in range(0, group.size, count):
             reps = group[start:start + count]
-            total[reps] = _epl_chunk(chain, n, rep_seeds[reps], reps, max_depth, rows, flags)
+            total[reps] = _epl_chunk(chain, n, rep_seeds[reps], reps, rows, flags)
     return total
 
 
@@ -178,7 +180,6 @@ def _epl_chunk(
     n: int,
     rep_seeds: np.ndarray,
     replicates: np.ndarray,
-    max_depth: int,
     rows: np.ndarray,
     flags: np.ndarray,
 ) -> np.ndarray:
@@ -191,11 +192,11 @@ def _epl_chunk(
     # groups stay sorted by replicate, and to -1 where the child holds the
     # string alone.
     #
-    # The bit rule needs no per-group table: with b0 = k >= t0 and
-    # b1 = k >= t1 on the string's 53-bit numerator k, the bit is b0 where
-    # the state is 0 and b1 where it is 1, that is b0 ^ ((b0 ^ b1) & state),
-    # formed in the state row itself; the first bit is k >= t_start.  All
-    # compares are on int64 views, with no float pass.
+    # The bit rule needs no per-group table: with b0 = k >= lo and b1 = k >= hi
+    # on the string's 53-bit numerator k, the bit is b0 where the state is 0
+    # and b1 where it is 1, b0 ^ ((b0 ^ b1) & state), formed in the state row.
+    # lo, hi are t0, t1, and both t_start at depth 0, where b0 = b1 gives
+    # k >= t_start whatever the row held.  Compares are on int64, no float pass.
     #
     # Every per-string array lives in the first `live` entries of a row, and
     # each row keeps its role for the whole call: the uint64 rows hold the
@@ -207,6 +208,8 @@ def _epl_chunk(
     # free, since nothing downstream depends on where a string sits, and the
     # holes are searched for only in that head, not in every live string.
     t0, t1, t_start = (np.int64(t) for t in bit_thresholds(chain))
+    lo = hi = t_start
+    max_depth = default_max_depth(n)
     sub_row, key_row, num_row, mix_row = rows
     state_row, b0_row, b1_row = flags
     # one stream_seeds call on the (replicate, index) grid, so the inner mix
@@ -223,32 +226,27 @@ def _epl_chunk(
     epl = np.zeros(count)
     depth = 0
     while live:
-        sub, key2 = sub_row[:live], key_row[:live].view(np.int64)
         if depth >= max_depth:
-            # name the group build_trie would meet first: groups sit in prefix
-            # order and build_trie pops the 1-half first, so it is the
-            # replicate's last group; stream_seeds is injective in the index,
-            # so its members are found by their sub-seeds
+            # the reference builder names the clash on the first replicate
+            # still holding a group
             bad = int(grep[0])
-            last = np.searchsorted(grep, bad, side="right") - 1
-            names = np.nonzero(np.isin(
-                stream_seeds(rep_seeds[bad], np.arange(n)), sub[key2 == 2 * last]
-            ))[0]
-            raise DepthExceeded(names, depth, int(replicates[bad]))
+            try:
+                build_trie(generate_strings(chain, n, int(rep_seeds[bad])))
+            except DepthExceeded as err:
+                raise DepthExceeded(err.indices, err.depth, int(replicates[bad])) from None
+            raise RuntimeError(f"replicate {int(replicates[bad])} hit the cap in the kernel only")
+        sub, key2 = sub_row[:live], key_row[:live].view(np.int64)
         # everyone left shares a group, so everyone consumes one symbol here;
         # the child keys are formed in place
         epl += alive_per_rep
         k = uniforms_at(sub, depth, out=num_row[:live], tmp=mix_row[:live]).view(np.int64)
-        state = state_row[:live]
-        if depth:
-            b0, b1 = b0_row[:live], b1_row[:live]
-            np.greater_equal(k, t0, out=b0)
-            np.greater_equal(k, t1, out=b1)
-            b1 ^= b0
-            state &= b1
-            state ^= b0
-        else:
-            np.greater_equal(k, t_start, out=state)
+        state, b0, b1 = state_row[:live], b0_row[:live], b1_row[:live]
+        np.greater_equal(k, lo, out=b0)
+        np.greater_equal(k, hi, out=b1)
+        b1 ^= b0
+        state &= b1
+        state ^= b0
+        lo, hi = t0, t1
         key2 += state
         counts = np.bincount(key2, minlength=2 * grep.size)
         alive = np.flatnonzero(counts >= 2)
@@ -265,7 +263,7 @@ def _epl_chunk(
         survivors = int(gsize.sum())
         if survivors < live:
             alive_per_rep = np.bincount(grep, weights=gsize, minlength=count)
-            mask = np.less(key2, 0, out=b0_row[:live])
+            mask = np.less(key2, 0, out=b0)
             holes = np.flatnonzero(mask[:survivors])
             tail = mask[survivors:]
             moved = np.flatnonzero(np.logical_not(tail, out=tail))

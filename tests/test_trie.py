@@ -104,7 +104,8 @@ def test_batch_depth_error_names_one_clashing_group():
 
 def test_batch_depth_error_on_ragged_sizes_names_the_call_replicate():
     # a chunk holds one size, so the replicate a chunk fails on is mapped back
-    # to its place in the call: here a 3-string trie behind a singleton
+    # to its place in the call: here a 3-string trie behind a singleton, which
+    # clashes at its own size's cap, where build_trie on it clashes too
     chain = MarkovChain(0.5, 0.5, 1.0 - PROB_FLOOR)
     sizes = np.array([64, 5, 1, 3, 64])
     seeds = replicate_seed(2, np.arange(sizes.size))
@@ -112,12 +113,15 @@ def test_batch_depth_error_on_ragged_sizes_names_the_call_replicate():
         batch_external_path_lengths(chain, sizes, seeds)
     r, depth, names = err.value.replicate, err.value.depth, err.value.indices
     assert 0 <= r < sizes.size and sizes[r] >= 2
-    assert depth == default_max_depth(int(sizes.max()))
     n = int(sizes[r])
+    assert depth == default_max_depth(n)
     streams = generate_strings(chain, n, seeds[r])
     prefixes = {j: streams[j].prefix(depth).tobytes() for j in range(n)}
     assert len(names) >= 2
     assert set(names) == {j for j in range(n) if prefixes[j] == prefixes[names[0]]}
+    with pytest.raises(DepthExceeded) as ref:
+        build_trie(streams)
+    assert (ref.value.indices, ref.value.depth) == (names, depth)
 
 
 def test_default_max_depth_grows():
