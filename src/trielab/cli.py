@@ -4,9 +4,8 @@ Subcommands: analyze, oracle, poisson-check, simulate, contraction,
 trie-stats, verify.  All numerics live in the library modules; this layer
 only parses flags, dispatches, and formats output, so tests can bypass it.
 Each subcommand that reads the moment table builds it to the horizon it
-reads and keeps nothing between calls: oracle to --n-max, simulate and verify
-to the highest level their root splits read (`root_reach`), verify also one
-past its top Poisson window, poisson-check to its top window + 1.
+reads and keeps nothing between calls: oracle to --n-max, simulate to n,
+verify to its largest size, poisson-check to its top window + 1.
 
 Every artifact embeds a run manifest: JSON reports carry it under
 "manifest", CSV files as a leading "# manifest:" comment.  The manifest
@@ -41,13 +40,11 @@ from trielab.clt_harness import (
     summary,
 )
 from trielab.exact_moments import (
-    MAX_HORIZON,
     HorizonTooLarge,
     MomentTable,
     check_horizon,
     compute_moment_table,
     error_terms,
-    root_reach,
     root_split,
 )
 from trielab.markov_source import (
@@ -217,11 +214,7 @@ def _cmd_simulate(args) -> int:
     check_threads(args.threads)
     # sigma^2 refuses a symmetric chain, so take it before the table is built
     sig2 = sigma_squared(chain)[1] if args.standardize == "asymptotic" else None
-    # n itself stays within the table's cap, refused before its root window is
-    # built (O(sqrt(n)) memory); the table then ends where that window reads
-    check_horizon(args.n)
-    table = compute_moment_table(chain, root_reach(chain, args.n))
-    center, variance = root_split(chain, table, args.n)
+    center, variance = root_split(chain, compute_moment_table(chain, args.n), args.n)
     scale = math.sqrt(variance if sig2 is None else sig2 * args.n * math.log(args.n))
     cloud = simulate_epl(chain, args.n, args.m, args.seed, threads=args.threads)
     std = standardize(cloud, center, scale)
@@ -305,11 +298,12 @@ def _cmd_trie_stats(args) -> int:
 
 
 # sizes of verify's variance-growth fit; the top one is the largest size any
-# verify item reads, and the reach of its root split bounds verify's table
+# verify item reads, so it is also the horizon of verify's table
 _VARIANCE_GRID = tuple(2**k for k in range(8, 14))
 
 
-def _verify_items(chain: MarkovChain, quick: bool, seed: int, threads: int):
+def _verify_items(chain: MarkovChain, table: MomentTable, quick: bool, seed: int,
+                  threads: int):
     """(name, value, limit, detail) of each scorecard item, in scorecard order.
 
     An item passes when value <= limit.  An item outside its domain yields
@@ -329,14 +323,6 @@ def _verify_items(chain: MarkovChain, quick: bool, seed: int, threads: int):
         detail += ", sigma2 comparison skipped (symmetric chain)"
     yield "spectral", worst, 1.0, f"{detail}; worst gap/limit {worst:.2e}"
 
-    # the moment table ends at the highest level an item reads: the root split
-    # of the top variance size (a reach lies between n/2 and n, so it covers
-    # every other size here, none above half of it) or one slot past the top
-    # Poisson window, where the slope reads
-    lams = [10.0, 50.0, 200.0] if quick else [10.0, 50.0, 200.0, 1000.0]
-    top = summation_window(lams[-1], MAX_HORIZON)[1] + 1
-    table = compute_moment_table(chain, max(root_reach(chain, _VARIANCE_GRID[-1]), top))
-
     # 2. oracle mean vs simulation
     grid = [256] if quick else [16, 256, 1024]
     m = 4000 if quick else 20000
@@ -349,6 +335,7 @@ def _verify_items(chain: MarkovChain, quick: bool, seed: int, threads: int):
     yield "mean", worst_z, 4.0, f"worst |z| = {worst_z:.2f} over n in {grid}"
 
     # 3. Poissonized decompositions
+    lams = [10.0, 50.0, 200.0] if quick else [10.0, 50.0, 200.0, 1000.0]
     _, worst = _residual_rows(table, lams)
     yield "poisson", worst, 1e-6, f"worst residual {worst:.2e}"
 
@@ -379,9 +366,10 @@ def _verify_items(chain: MarkovChain, quick: bool, seed: int, threads: int):
 def _cmd_verify(args) -> int:
     chain = _chain_of(args)
     check_threads(args.threads)
+    table = compute_moment_table(chain, _VARIANCE_GRID[-1])
     items = []
     for name, value, limit, detail in _verify_items(
-            chain, args.budget == "quick", args.seed, args.threads):
+            chain, table, args.budget == "quick", args.seed, args.threads):
         item = {"name": name, "status": "skipped", "detail": detail, "margin": None}
         if value is not None:
             item.update(status="pass" if value <= limit else "fail",

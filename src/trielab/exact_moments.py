@@ -205,30 +205,18 @@ def mixture(w: np.ndarray, means: np.ndarray, variances: np.ndarray) -> tuple[fl
     return mean, float(np.dot(w, variances)) + float(np.dot(w, (means - mean) ** 2))
 
 
-def root_reach(chain: MarkovChain, n: int) -> int:
-    """Highest table level `root_split` reads for n strings: max(k_hi, n - k_lo)
-    over the B(n, mu0) window k_lo..k_hi, since the split sending k strings to
-    state 0 reads nu_0[k] and nu_1[n-k].  It lies between n/2 and n.
-    """
-    if n < 0:
-        raise ValueError(f"n={n} must be >= 0")
-    k0, w = binomial_window(n, chain.mu0)
-    return max(k0 + len(w) - 1, n - k0)
-
-
 def root_split(chain: MarkovChain, table: MomentTable, n: int) -> tuple[float, float]:
     """Exact (mean, variance) of the path length of n strings under the chain's
     initial law, by the law of total variance over the B(n, mu0) root split:
     the split sending k strings to state 0 contributes nu_0[k] + nu_1[n-k]
-    and var_0[k] + var_1[n-k].  The table must reach `root_reach(chain, n)`.
+    and var_0[k] + var_1[n-k].
 
     A delta initial law mu0 = 1 - i (and n = 0) needs no branch: its window is
     the single split sending every string to state i, at weight 1.0, so this
     returns (nu_i[n], var_i[n]) exactly.
     """
-    # a reach is at least n/2, so a larger n is refused before its window is built
-    if n > 2 * table.N or root_reach(chain, n) > table.N:
-        raise ValueError(f"n={n} reads past table horizon {table.N}")
+    if not 0 <= n <= table.N:
+        raise ValueError(f"n={n} outside table horizon {table.N}")
     k0, w = binomial_window(n, chain.mu0)
     ks = np.arange(k0, k0 + len(w))
     return mixture(w, table.nu[0][ks] + table.nu[1][n - ks],

@@ -268,9 +268,7 @@ def test_table_built_once_and_served_as_read_only_prefix(capsys, builds, chain67
                  ("simulate", *CHAIN, "--n", "8", "--m", "50", "--threads", "1"),
                  ("verify", *CHAIN, "--budget", "quick", "--threads", "1")):
         assert run(capsys, *argv)[0] == EXIT_OK, argv
-    # simulate and verify end where their root splits read: n = 8 reads all
-    # of 0..8, and verify's top size 8192 reads up to level 4484 at mu0 = 0.5
-    assert builds == [(chain67, 64), (chain67, 8), (chain67, 4484)]
+    assert builds == [(chain67, 64), (chain67, 8), (chain67, 8192)]
     # poisson-check's top window at its default rates ends at 1392 (lambda =
     # 1000) and the slope reads one slot past it; --n-max only bounds the
     # windows, so the rows equal those read from the prefix of a table to --n-max

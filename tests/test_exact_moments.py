@@ -14,7 +14,6 @@ from trielab.exact_moments import (
     binomial_window,
     compute_moment_table,
     error_terms,
-    root_reach,
     root_split,
 )
 from trielab.markov_source import PROB_FLOOR, MarkovChain, entropy_rate
@@ -295,27 +294,9 @@ def test_variance_for_initial_total_law(chain67):
 
 def test_for_initial_horizon_errors(chain67):
     table = compute_moment_table(chain67, 32)
-    # 10**15 is refused before its window, which would take gigabytes, is built
-    for n in (33, 40, -1, 10**15):
+    for n in (33, 40, -1):
         with pytest.raises(ValueError):
             root_split(chain67, table, n)
-
-
-@pytest.mark.parametrize("mu0", [0.0, 0.2, 0.5, 1.0])
-def test_root_split_reads_only_up_to_its_reach(table67, mu0):
-    # a level reads only the levels below it, so a table that ends at the
-    # reach holds the same rows as the full one, and the split is the same
-    # bit for bit; one level shorter, the window reads past the horizon
-    chain = MarkovChain(mu0, table67.chain.p00, table67.chain.p11)
-    for n in (2, 16, 2048):
-        reach = root_reach(chain, n)
-        assert (n + 1) // 2 <= reach <= n
-        exact = compute_moment_table(chain, reach)
-        assert root_split(chain, exact, n) == root_split(chain, table67, n)
-        with pytest.raises(ValueError, match="past table horizon"):
-            root_split(chain, compute_moment_table(chain, reach - 1), n)
-    with pytest.raises(ValueError):
-        root_reach(chain, -1)
 
 
 def test_error_terms_contents(chain67):
