@@ -142,6 +142,20 @@ def test_scalar_salting_is_silent():
     assert single == int(replicate_seed(1, np.arange(4))[3])
 
 
+def test_sub_seeds_are_injective():
+    # two replicates on one seed (a replicate_seed(seed, r // 2) fault) would
+    # repeat samples, which no statistical check sees at these sizes
+    # (a sort: numpy 2.4's np.unique is ~60x slower on 2^20 uint64)
+    def distinct(values):
+        values = np.sort(values, axis=None)
+        return bool((values[1:] != values[:-1]).all())
+
+    for seed in (0, 1, -1, 20240817):
+        reps = replicate_seed(seed, np.arange(2**20))
+        grid = stream_seeds(reps[: 2**9, None], np.arange(2**8))
+        assert distinct(reps) and distinct(grid) and grid.size == 2**17, seed
+
+
 def test_replicate_seed_scalar_matches_array():
     arr = replicate_seed(42, np.arange(8))
     for r in range(8):
